@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from sommetrics import (
-    CodeBook,
     Dataset,
     TrainerConfig,
     c_measure,
@@ -20,16 +19,7 @@ from sommetrics import (
     topographic_error,
     train_som,
 )
-
-
-def swap_fraction(codebook: CodeBook, fraction: float, rng: np.random.Generator) -> CodeBook:
-    protos = codebook.prototypes.copy()
-    n_swaps = int(fraction * codebook.n_units / 2)
-    if n_swaps:
-        idx = rng.choice(codebook.n_units, size=2 * n_swaps, replace=False)
-        a, b = idx[:n_swaps], idx[n_swaps:]
-        protos[a], protos[b] = protos[b].copy(), protos[a].copy()
-    return CodeBook(protos, codebook.grid)
+from sommetrics.demos import _swap_units
 
 
 def main() -> None:
@@ -47,7 +37,7 @@ def main() -> None:
     writer = sys.stdout
     writer.write("swap_fraction,topographic_error,combined_error,kruskal_shepard_error,c_measure\n")
     for fraction in (float(f) for f in args.fractions.split(",")):
-        cb = swap_fraction(trained, fraction, np.random.default_rng(args.seed + 1))
+        cb = _swap_units(trained, fraction, np.random.default_rng(args.seed + 1))
         writer.write(
             f"{fraction},{topographic_error(cb, data)!r},{combined_error(cb, data)!r},"
             f"{kruskal_shepard_error(cb, data)!r},{c_measure(cb, data)!r}\n"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from .grid import distance_matrix
 from .model import CodeBook, Dataset, project
@@ -57,24 +58,8 @@ def clustering_accuracy(assignments, labels) -> float:
 
 def _component_count(grid, marked: np.ndarray) -> int:
     """Connected components among ``marked`` units under map adjacency (distance 1)."""
-    marked_set = set(int(u) for u in marked)
-    dmat = distance_matrix(grid)
-    seen: set[int] = set()
-    components = 0
-    for u in sorted(marked_set):
-        if u in seen:
-            continue
-        components += 1
-        stack = [u]
-        seen.add(u)
-        while stack:
-            v = stack.pop()
-            for w in np.flatnonzero(dmat[v] == 1):
-                w = int(w)
-                if w in marked_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return components
+    adjacent = distance_matrix(grid)[np.ix_(marked, marked)] == 1
+    return connected_components(adjacent, directed=False)[0]
 
 
 def class_scatter_index(codebook: CodeBook, data: Dataset) -> float:

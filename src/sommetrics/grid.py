@@ -72,23 +72,14 @@ class MapGrid:
             raise ValueError("map diameter is undefined for a single-unit grid")
         if self.topology == "rectangular":
             return (self.rows - 1) + (self.cols - 1)
-        # Hexagonal: scan all pairs in row blocks to bound memory.
-        q, r = _hex_axial_coords(self)
-        best = 0
-        for start in range(0, self.n_units, 512):
-            sl = slice(start, start + 512)
-            dq = q[sl, None] - q[None, :]
-            dr = r[sl, None] - r[None, :]
-            d = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
-            best = max(best, int(d.max()))
-        return best
+        return int(distance_matrix(self).max())
 
     def _check_index(self, k: int) -> None:
         if not 0 <= k < self.n_units:
             raise ValueError(f"unit index {k} out of range for {self.rows}x{self.cols} grid")
 
 
-def _evenr_shift(row: int) -> int:
+def _evenr_shift(row):
     # even-row offset -> axial q shift (even rows pushed half a cell right)
     return (row + (row & 1)) // 2
 
@@ -97,7 +88,7 @@ def _hex_axial_coords(grid: MapGrid) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(grid.n_units)
     rows = idx // grid.cols
     cols = idx % grid.cols
-    q = cols - (rows + (rows & 1)) // 2
+    q = cols - _evenr_shift(rows)
     return q, rows
 
 

@@ -5,10 +5,11 @@ breaks toward the lowest unit or sample index.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import dijkstra
 
 from .grid import GAUSSIAN, NeighborhoodKernel, adjacency_pairs, distance_matrix
 from .model import CodeBook, Dataset, _check_dims, bmu_distances, project, receptive_field_connectivity, squared_distances
@@ -52,36 +53,20 @@ def topographic_error(codebook: CodeBook, data: Dataset) -> float:
     return float(np.mean(dmat[proj.bmu, proj.second_bmu] > 1))
 
 
-def _map_path_costs(codebook: CodeBook, sources: np.ndarray) -> dict[int, np.ndarray]:
-    """Exact shortest-path costs on the unit adjacency graph from each source unit.
+def _map_path_costs(codebook: CodeBook, sources: np.ndarray) -> np.ndarray:
+    """Exact shortest-path costs on the unit adjacency graph, one row per source unit.
 
     Edge weight between adjacent units is the squared euclidean distance of
-    their prototypes. Dijkstra with a binary heap; zero-weight edges (duplicate
-    prototypes) are legitimate.
+    their prototypes. Zero-weight edges (duplicate prototypes) are legitimate:
+    the graph is built from COO without ``eliminate_zeros``, so csgraph keeps
+    explicit zeros as edges.
     """
     K = codebook.n_units
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(K)]
-    for a, b in adjacency_pairs(codebook.grid):
-        w = float(((codebook.prototypes[a] - codebook.prototypes[b]) ** 2).sum())
-        adj[a].append((int(b), w))
-        adj[b].append((int(a), w))
-    costs: dict[int, np.ndarray] = {}
-    for src in sources:
-        src = int(src)
-        dist = np.full(K, np.inf)
-        dist[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        costs[src] = dist
-    return costs
+    a, b = adjacency_pairs(codebook.grid).T
+    p = codebook.prototypes
+    w = ((p[a] - p[b]) ** 2).sum(axis=1)
+    graph = coo_array((w, (a, b)), shape=(K, K)).tocsr()
+    return dijkstra(graph, directed=False, indices=sources)
 
 
 def combined_error(codebook: CodeBook, data: Dataset) -> float:
@@ -94,11 +79,11 @@ def combined_error(codebook: CodeBook, data: Dataset) -> float:
     if codebook.n_units < 2:
         raise ValueError("combined error requires at least two units")
     proj = project(codebook, data, depth=2)
-    costs = _map_path_costs(codebook, np.unique(proj.bmu))
+    sources, row = np.unique(proj.bmu, return_inverse=True)
+    costs = _map_path_costs(codebook, sources)
     diff = data.samples - codebook.prototypes[proj.bmu]
     first = (diff * diff).sum(axis=1)
-    path = np.array([costs[int(b1)][b2] for b1, b2 in zip(proj.bmu, proj.second_bmu)])
-    return float((first + path).mean())
+    return float((first + costs[row, proj.second_bmu]).mean())
 
 
 def _np_trust_scores(codebook: CodeBook, data: Dataset, k: int) -> tuple[float, float]:

@@ -142,10 +142,11 @@ def test_csi_sorted_labels_beat_shuffled_labels():
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), rows=st.integers(1, 10), cols=st.integers(1, 10))
-def test_csi_component_counts_match_unionfind(seed, rows, cols):
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 10), cols=st.integers(1, 10),
+       topology=st.sampled_from(["rectangular", "hexagonal"]))
+def test_csi_component_counts_match_unionfind(seed, rows, cols, topology):
     rng = np.random.default_rng(seed)
-    grid = MapGrid(rows, cols)
+    grid = MapGrid(rows, cols, topology)
     K = grid.n_units
     coords = np.array([[k // cols, k % cols] for k in range(K)], dtype=float)
     cb = CodeBook(coords, grid)

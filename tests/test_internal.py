@@ -137,14 +137,16 @@ def test_ce_sample_on_bmu_with_adjacent_second():
 
 
 def test_ce_path_costs_match_exhaustive_enumeration():
-    grid = MapGrid(3, 3)
-    edges_idx = [tuple(e) for e in adjacency_pairs(grid)]
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        cb = CodeBook(rng.normal(size=(9, 2)), grid)
+    rect, hexa = MapGrid(3, 3), MapGrid(3, 3, "hexagonal")
+    cases = [CodeBook(np.random.default_rng(seed).normal(size=(9, 2)), rect) for seed in range(3)]
+    cases.append(CodeBook(np.random.default_rng(3).normal(size=(9, 2)), hexa))
+    duplicated = np.random.default_rng(4).normal(size=(9, 2))
+    duplicated[[1, 3]] = duplicated[0]  # units 1 and 3 are both adjacent to unit 0
+    cases.append(CodeBook(duplicated, rect))
+    for cb in cases:
         weights = {
             (a, b): float(((cb.prototypes[a] - cb.prototypes[b]) ** 2).sum())
-            for a, b in edges_idx
+            for a, b in (tuple(e) for e in adjacency_pairs(cb.grid))
         }
         costs = _map_path_costs(cb, np.arange(9))
         for s in range(9):
@@ -153,6 +155,7 @@ def test_ce_path_costs_match_exhaustive_enumeration():
                     continue
                 expected = min_path_cost_exhaustive(9, weights, s, t)
                 assert costs[s][t] == pytest.approx(expected, abs=1e-12)
+    assert weights[(0, 1)] == weights[(0, 3)] == 0.0  # zero-weight edges were exercised
 
 
 @settings(max_examples=30, deadline=None)
