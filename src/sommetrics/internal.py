@@ -86,6 +86,18 @@ def combined_error(codebook: CodeBook, data: Dataset) -> float:
     return float((first + costs[row, proj.second_bmu]).mean())
 
 
+def _pair_blocks(codebook: CodeBook, data: Dataset, bmus: np.ndarray):
+    """Yield ``(rows, d2, dmap)`` per ``_BLOCK`` rows: squared input and BMU map distances, both (B, N).
+
+    The block size is a constant, so summation order and output bits never depend on the machine.
+    """
+    x = data.samples
+    dmat = distance_matrix(codebook.grid)
+    for start in range(0, data.n_samples, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        yield rows, squared_distances(x[rows], x), dmat[np.ix_(bmus[rows], bmus)]
+
+
 def _np_trust_scores(codebook: CodeBook, data: Dataset, k: int) -> tuple[float, float]:
     """(neighborhood preservation, trustworthiness) under tie-expanded projected sets.
 
@@ -104,35 +116,38 @@ def _np_trust_scores(codebook: CodeBook, data: Dataset, k: int) -> tuple[float, 
     if not 1 <= k < n / 2:
         raise ValueError(f"neighborhood order k must satisfy 1 <= k < N/2 = {n / 2}, got {k}")
     bmus = project(codebook, data, depth=1).bmu
-    dmap_all = distance_matrix(codebook.grid)[np.ix_(bmus, bmus)]
-    x = data.samples
+    trust_terms, np_terms = np.empty(n), np.empty(n)
+    for rows, d2, dm in _pair_blocks(codebook, data, bmus):
+        b = len(d2)
+        others = np.ones(d2.shape, dtype=bool)
+        others[np.arange(b), np.arange(b) + rows.start] = False  # drop each row's own sample
+        d2, dm = d2[others].reshape(b, n - 1), dm[others].reshape(b, n - 1)
 
-    trust_pen = 0.0
-    np_pen = 0.0
-    for i in range(n):
-        others = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        din = ((x[others] - x[i]) ** 2).sum(axis=1)
-        dmap = dmap_all[i, others]
+        # input side: stable order (exact k nearest, ties to lowest sample
+        # index) and min-ranks, the first sorted position of each run of ties
+        order = np.argsort(d2, axis=1, kind="stable")
+        ranked = np.take_along_axis(d2, order, axis=1)
+        run_start = np.ones(ranked.shape, dtype=bool)
+        run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        rank_in = np.maximum.accumulate(np.where(run_start, np.arange(1, n), 0), axis=1)
 
-        # exact k nearest in input space, ties to lowest sample index
-        in_knn = np.zeros(n - 1, dtype=bool)
-        in_knn[np.argsort(din, kind="stable")[:k]] = True
+        # map side: tie-expanded projected set, min-ranks from per-row counts
+        cut = np.partition(dm, k - 1, axis=1)[:, k - 1:k]
+        proj_set = np.take_along_axis(dm <= cut, order, axis=1)  # in input order
+        width = int(dm.max()) + 1
+        counts = np.bincount((dm + width * np.arange(b)[:, None]).ravel(), minlength=b * width).reshape(b, width)
+        closer = np.cumsum(counts, axis=1) - counts
+        rank_map = np.take_along_axis(closer, np.take_along_axis(dm, order[:, :k], axis=1), axis=1) + 1
 
-        # tie-expanded projected neighbor set
-        cut = np.partition(dmap, k - 1)[k - 1]
-        proj_set = dmap <= cut
-        size_i = int(proj_set.sum())
-
-        rank_in = np.searchsorted(np.sort(din), din, side="left") + 1
-        rank_map = np.searchsorted(np.sort(dmap), dmap, side="left") + 1
-
-        false_nb = proj_set & ~in_knn
-        missed_nb = in_knn & ~proj_set
-        trust_pen += (k / size_i) * float((rank_in[false_nb] - k).sum())
-        np_pen += (size_i / k) * float((rank_map[missed_nb] - k).sum())
+        size = proj_set.sum(axis=1)
+        false_pen = np.where(proj_set[:, k:], rank_in[:, k:] - k, 0).sum(axis=1)
+        missed_pen = np.where(proj_set[:, :k], 0, rank_map - k).sum(axis=1)
+        trust_terms[rows] = (k / size) * false_pen.astype(float)
+        np_terms[rows] = (size / k) * missed_pen.astype(float)
 
     factor = 2.0 / (n * k * (2 * n - 3 * k - 1))
-    return 1.0 - factor * np_pen, 1.0 - factor * trust_pen
+    # cumsum adds strictly in sample order, as a running total would
+    return 1.0 - factor * float(np.cumsum(np_terms)[-1]), 1.0 - factor * float(np.cumsum(trust_terms)[-1])
 
 
 def trustworthiness(codebook: CodeBook, data: Dataset, k: int) -> float:
@@ -162,20 +177,20 @@ def topographic_product(codebook: CodeBook) -> float:
     K = codebook.n_units
     if K < 2:
         raise ValueError("topographic product requires at least two units")
-    diff = codebook.prototypes[:, None, :] - codebook.prototypes[None, :, :]
-    din = np.sqrt((diff * diff).sum(axis=2))
-    off_diag = ~np.eye(K, dtype=bool)
-    if np.any(din[off_diag] == 0.0):
-        raise ValueError("duplicate prototypes: topographic product needs nonzero pairwise distances")
+    p = codebook.prototypes
     dmap = distance_matrix(codebook.grid).astype(float)
 
     orders = 1.0 / (2.0 * np.arange(1, K))
     total = 0.0
     for j in range(K):
-        others = np.concatenate([np.arange(j), np.arange(j + 1, K)])
-        by_map = others[np.argsort(dmap[j, others], kind="stable")]
-        by_input = others[np.argsort(din[j, others], kind="stable")]
-        logs = (np.log(din[j, by_map]) - np.log(din[j, by_input])
+        din = np.sqrt(((p - p[j]) ** 2).sum(axis=1))
+        if np.count_nonzero(din == 0.0) > 1:
+            raise ValueError("duplicate prototypes: topographic product needs nonzero pairwise distances")
+        # unit j is the only zero on both sides, so it sorts first; stable
+        # sorts keep the relative order of the other units
+        by_map = np.argsort(dmap[j], kind="stable")[1:]
+        by_input = np.argsort(din, kind="stable")[1:]
+        logs = (np.log(din[by_map]) - np.log(din[by_input])
                 + np.log(dmap[j, by_map]) - np.log(dmap[j, by_input]))
         total += float((np.cumsum(logs) * orders).sum())
     return total / (K * (K - 1))
@@ -232,23 +247,14 @@ def kruskal_shepard_error(codebook: CodeBook, data: Dataset) -> float:
         raise ValueError(f"need at least 2 samples, got {n}")
     delta_max = codebook.grid.max_distance()
     bmus = project(codebook, data, depth=1).bmu
-    dmap = distance_matrix(codebook.grid)
-    x = data.samples
 
-    max_d2 = 0.0
-    for start in range(0, n, _BLOCK):
-        sl = slice(start, min(start + _BLOCK, n))
-        d2 = squared_distances(x[sl], x)
-        max_d2 = max(max_d2, float(d2.max()))
+    max_d2 = max(float(d2.max()) for _, d2, _ in _pair_blocks(codebook, data, bmus))
     if max_d2 == 0.0:
         raise ValueError("all samples identical: input distance matrix cannot be scaled")
 
     acc = 0.0
-    for start in range(0, n, _BLOCK):
-        sl = slice(start, min(start + _BLOCK, n))
-        dx = squared_distances(x[sl], x) / max_d2
-        ds = dmap[np.ix_(bmus[sl], bmus)] / delta_max
-        acc += float(((dx - ds) ** 2).sum())
+    for _, d2, dm in _pair_blocks(codebook, data, bmus):
+        acc += float(((d2 / max_d2 - dm / delta_max) ** 2).sum())
     return acc / (n * (n - 1))
 
 
@@ -263,15 +269,8 @@ def c_measure(codebook: CodeBook, data: Dataset) -> float:
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     bmus = project(codebook, data, depth=1).bmu
-    dmap = distance_matrix(codebook.grid)
-    x = data.samples
     total = 0.0
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        d = np.sqrt(squared_distances(x[start:stop], x))
-        ds = dmap[np.ix_(bmus[start:stop], bmus)]
-        cols = np.arange(n)[None, :]
-        rows = np.arange(start, stop)[:, None]
-        mask = cols < rows  # each unordered pair counted once
-        total += float((d * ds * mask).sum())
+    for rows, d2, dm in _pair_blocks(codebook, data, bmus):
+        mask = np.arange(n) < np.arange(len(d2))[:, None] + rows.start  # each unordered pair counted once
+        total += float((np.sqrt(d2) * dm * mask).sum())
     return total

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sommetrics import (
     topographic_product,
     trustworthiness,
 )
+from sommetrics import internal
 from sommetrics.internal import _map_path_costs
 from sommetrics.model import bmu_distances
 
@@ -196,6 +198,15 @@ def _oracle_pair(cb, data, k):
     return trust_np_bruteforce(data.samples.tolist(), [int(b) for b in bmus], dmat, k)
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_trust_below_one_when_clusters_collapse_onto_adjacent_units():
     cb = chain_codebook([0.1, 10.1, 100.0])
     data = Dataset(np.array([[0.0], [0.15], [0.3], [10.0], [10.15], [10.3]]))
@@ -238,6 +249,37 @@ def test_trust_np_match_bruteforce_on_random_instances(seed, n, k):
     assert neighborhood_preservation(cb, data, k) == pytest.approx(oracle_np, abs=1e-12)
 
 
+@pytest.mark.parametrize("topology", ["rectangular", "hexagonal"])
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_metrics_do_not_depend_on_block_size(monkeypatch, topology, seed):
+    # integer-valued data and prototypes: exact ties in both spaces, with
+    # block boundaries falling inside runs of tied samples
+    rng = np.random.default_rng(seed)
+    grid = MapGrid(3, 3, topology)
+    cb = CodeBook(rng.integers(0, 4, size=(grid.n_units, 2)).astype(float), grid)
+    data = Dataset(rng.integers(0, 4, size=(int(rng.integers(20, 31)), 2)).astype(float))
+    k = 3
+    oracle_trust, oracle_np = _oracle_pair(cb, data, k)
+    trust, nbp = trustworthiness(cb, data, k), neighborhood_preservation(cb, data, k)
+    assert trust == pytest.approx(oracle_trust, abs=1e-12)
+    assert nbp == pytest.approx(oracle_np, abs=1e-12)
+    kse, cm = kruskal_shepard_error(cb, data), c_measure(cb, data)
+    for block in (1, 3, 7):
+        monkeypatch.setattr(internal, "_BLOCK", block)
+        assert trustworthiness(cb, data, k) == trust
+        assert neighborhood_preservation(cb, data, k) == nbp
+        assert kruskal_shepard_error(cb, data) == pytest.approx(kse, rel=1e-12)
+        assert c_measure(cb, data) == pytest.approx(cm, rel=1e-12)
+
+
+def test_trust_memory_is_bounded_by_the_block(monkeypatch):
+    monkeypatch.setattr(internal, "_BLOCK", 16)
+    rng = np.random.default_rng(4)
+    cb = CodeBook(rng.normal(size=(100, 2)), MapGrid(10, 10))
+    data = Dataset(rng.normal(size=(2000, 2)))
+    assert _traced_peak(trustworthiness, cb, data, 10) < 16 * 2**20  # an N x N int64 matrix is 30.5 MiB
+
+
 def test_trust_k_range_validated():
     cb, data = random_instance(0, n=10)
     with pytest.raises(ValueError):
@@ -265,10 +307,11 @@ def test_tp_monotone_chain_with_uneven_spacing():
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), rows=st.integers(1, 3), cols=st.integers(2, 4))
-def test_tp_matches_bruteforce(seed, rows, cols):
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 3), cols=st.integers(2, 4),
+       topology=st.sampled_from(["rectangular", "hexagonal"]))
+def test_tp_matches_bruteforce(seed, rows, cols, topology):
     rng = np.random.default_rng(seed)
-    grid = MapGrid(rows, cols)
+    grid = MapGrid(rows, cols, topology)
     cb = CodeBook(rng.normal(size=(grid.n_units, 2)), grid)
     expected = topographic_product_bruteforce(
         cb.prototypes.tolist(), distance_matrix(grid).tolist()
@@ -277,9 +320,16 @@ def test_tp_matches_bruteforce(seed, rows, cols):
 
 
 def test_tp_rejects_duplicate_prototypes():
-    cb = CodeBook(np.array([[0.0], [0.0], [1.0]]), MapGrid(1, 3))
-    with pytest.raises(ValueError):
-        topographic_product(cb)
+    for protos in ([[0.0], [0.0], [1.0]], [[0.0], [1.0], [1.0]]):  # first units, last units
+        cb = CodeBook(np.array(protos), MapGrid(1, 3))
+        with pytest.raises(ValueError):
+            topographic_product(cb)
+
+
+def test_tp_memory_is_one_unit_row_at_a_time():
+    grid = MapGrid(20, 20, "hexagonal")
+    cb = CodeBook(np.random.default_rng(3).normal(size=(grid.n_units, 32)), grid)
+    assert _traced_peak(topographic_product, cb) < 16 * 2**20  # a K x K x D temporary is 39 MiB
 
 
 # ---------------------------------------------------------------------------
