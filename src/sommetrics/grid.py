@@ -53,13 +53,7 @@ class MapGrid:
         """Shortest-path length between units ``k`` and ``l`` on the lattice graph."""
         self._check_index(k)
         self._check_index(l)
-        rk, ck = divmod(k, self.cols)
-        rl, cl = divmod(l, self.cols)
-        if self.topology == "rectangular":
-            return abs(rk - rl) + abs(ck - cl)
-        dq = (ck - _evenr_shift(rk)) - (cl - _evenr_shift(rl))
-        dr = rk - rl
-        return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
+        return int(distance_matrix(self)[k, l])
 
     def neighbors(self, k: int) -> np.ndarray:
         """Indices of all units at lattice distance exactly 1 from ``k``, ascending."""
@@ -70,26 +64,11 @@ class MapGrid:
         """Lattice diameter: the largest inter-unit distance over all pairs."""
         if self.n_units < 2:
             raise ValueError("map diameter is undefined for a single-unit grid")
-        if self.topology == "rectangular":
-            return (self.rows - 1) + (self.cols - 1)
         return int(distance_matrix(self).max())
 
     def _check_index(self, k: int) -> None:
         if not 0 <= k < self.n_units:
             raise ValueError(f"unit index {k} out of range for {self.rows}x{self.cols} grid")
-
-
-def _evenr_shift(row):
-    # even-row offset -> axial q shift (even rows pushed half a cell right)
-    return (row + (row & 1)) // 2
-
-
-def _hex_axial_coords(grid: MapGrid) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(grid.n_units)
-    rows = idx // grid.cols
-    cols = idx % grid.cols
-    q = cols - _evenr_shift(rows)
-    return q, rows
 
 
 @lru_cache(maxsize=16)
@@ -101,9 +80,9 @@ def distance_matrix(grid: MapGrid) -> np.ndarray:
     if grid.topology == "rectangular":
         d = np.abs(rows[:, None] - rows[None, :]) + np.abs(cols[:, None] - cols[None, :])
     else:
-        q, r = _hex_axial_coords(grid)
+        q = cols - (rows + (rows & 1)) // 2  # even-row offset -> axial (even rows pushed half a cell right)
         dq = q[:, None] - q[None, :]
-        dr = r[:, None] - r[None, :]
+        dr = rows[:, None] - rows[None, :]
         d = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
     d = d.astype(np.int64)
     d.setflags(write=False)

@@ -33,13 +33,11 @@ def distortion(codebook: CodeBook, data: Dataset, temperature: float,
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     _check_dims(codebook, data)
-    bmus = project(codebook, data, depth=1).bmu
     dmat = distance_matrix(codebook.grid).astype(float)
     total = 0.0
     for start in range(0, data.n_samples, _BLOCK):
-        sl = slice(start, min(start + _BLOCK, data.n_samples))
-        d2 = squared_distances(data.samples[sl], codebook.prototypes)
-        w = kernel.weight(dmat[bmus[sl]], temperature)
+        d2 = squared_distances(data.samples[start:start + _BLOCK], codebook.prototypes)
+        w = kernel.weight(dmat[d2.argmin(axis=1)], temperature)  # BMU: ties to the lowest unit, as in project
         total += float((w * d2).sum())
     return total / data.n_samples
 
@@ -183,7 +181,7 @@ def topographic_product(codebook: CodeBook) -> float:
     orders = 1.0 / (2.0 * np.arange(1, K))
     total = 0.0
     for j in range(K):
-        din = np.sqrt(((p - p[j]) ** 2).sum(axis=1))
+        din = np.sqrt(squared_distances(p[j:j + 1], p)[0])
         if np.count_nonzero(din == 0.0) > 1:
             raise ValueError("duplicate prototypes: topographic product needs nonzero pairwise distances")
         # unit j is the only zero on both sides, so it sorts first; stable
@@ -241,14 +239,14 @@ def kruskal_shepard_error(codebook: CodeBook, data: Dataset) -> float:
     Input side: squared euclidean distances over samples, scaled by their
     maximum. Map side: BMU map distances scaled by the map diameter.
     """
-    _check_dims(codebook, data)
     n = data.n_samples
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     delta_max = codebook.grid.max_distance()
     bmus = project(codebook, data, depth=1).bmu
 
-    max_d2 = max(float(d2.max()) for _, d2, _ in _pair_blocks(codebook, data, bmus))
+    x = data.samples
+    max_d2 = max(float(squared_distances(x[start:start + _BLOCK], x).max()) for start in range(0, n, _BLOCK))
     if max_d2 == 0.0:
         raise ValueError("all samples identical: input distance matrix cannot be scaled")
 
@@ -264,7 +262,6 @@ def c_measure(codebook: CodeBook, data: Dataset) -> float:
     Large values mean far-apart samples also land far apart on the map; a
     cost to maximize, not an error.
     """
-    _check_dims(codebook, data)
     n = data.n_samples
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")

@@ -110,9 +110,15 @@ def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Exact squared euclidean distances, rows of ``x`` against all prototypes.
 
     Computed from explicit differences (not the expanded dot-product form) so
-    that exact ties in the inputs stay exact ties in the output.
+    that exact ties in the inputs stay exact ties in the output. Raises
+    ``ValueError`` when a distance overflows float64 (|values| above about
+    1e154), because an infinite distance would make ties and ratios meaningless.
     """
-    return ((x[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(over="raise"):
+        try:
+            return ((x[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
+        except FloatingPointError:
+            raise ValueError("squared distances overflow float64; rescale the data and prototypes") from None
 
 
 def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionIndex:

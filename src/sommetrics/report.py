@@ -5,6 +5,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -33,9 +34,10 @@ class EvaluationContext:
     temperature: float | None
     kernel: NeighborhoodKernel
 
-
-def _bmus(ctx: EvaluationContext) -> np.ndarray:
-    return project(ctx.codebook, ctx.data, depth=1).bmu
+    @cached_property
+    def _bmus(self) -> np.ndarray:
+        """Depth-1 projection shared by the label metrics of one evaluation."""
+        return project(self.codebook, self.data, depth=1).bmu
 
 
 REGISTRY: dict[str, MetricSpec] = {
@@ -57,10 +59,10 @@ REGISTRY: dict[str, MetricSpec] = {
     "kruskal_shepard_error": MetricSpec(lambda c: internal.kruskal_shepard_error(c.codebook, c.data)),
     "c_measure": MetricSpec(lambda c: internal.c_measure(c.codebook, c.data)),
     "purity": MetricSpec(
-        lambda c: external.purity(_bmus(c), c.data.labels), needs_labels=True
+        lambda c: external.purity(c._bmus, c.data.labels), needs_labels=True
     ),
     "clustering_accuracy": MetricSpec(
-        lambda c: external.clustering_accuracy(_bmus(c), c.data.labels), needs_labels=True
+        lambda c: external.clustering_accuracy(c._bmus, c.data.labels), needs_labels=True
     ),
     "class_scatter_index": MetricSpec(
         lambda c: external.class_scatter_index(c.codebook, c.data), needs_labels=True

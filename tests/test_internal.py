@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sommetrics import (
     GAUSSIAN,
+    WINDOW,
     CodeBook,
     Dataset,
     MapGrid,
@@ -89,6 +91,13 @@ def test_distortion_small_temperature_limit_is_bmu_term():
     bmus = project(cb, data, depth=1).bmu
     direct = float((bmu_distances(cb, data, bmus) ** 2).mean())
     assert distortion(cb, data, 1e-3) == pytest.approx(direct, rel=1e-6)
+
+
+def test_distortion_exact_tie_goes_to_lowest_unit():
+    # sample 1 is equidistant from units 0 and 1; BMU 0 weights units 0 and 1
+    # (1 + 1), BMU 1 would also weight unit 2 (1 + 1 + 81)
+    cb = chain_codebook([0.0, 2.0, 10.0])
+    assert distortion(cb, Dataset(np.array([[1.0]])), 1.5, WINDOW) == 2.0
 
 
 def test_distortion_requires_positive_temperature():
@@ -443,3 +452,32 @@ def test_metric_ranges(seed, n):
     assert combined_error(cb, data) >= 0
     assert kruskal_shepard_error(cb, data) >= 0
     assert c_measure(cb, data) >= 0
+
+
+
+# ---------------------------------------------------------------------------
+# float64 overflow
+# ---------------------------------------------------------------------------
+
+OVERFLOWING_METRICS = {
+    "quantization_error": quantization_error,
+    "topographic_error": topographic_error,
+    "combined_error": combined_error,
+    "trustworthiness": lambda cb, data: trustworthiness(cb, data, 3),
+    "neighborhood_preservation": lambda cb, data: neighborhood_preservation(cb, data, 3),
+    "kruskal_shepard_error": kruskal_shepard_error,
+    "c_measure": c_measure,
+    "distortion": lambda cb, data: distortion(cb, data, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_METRICS)
+def test_metrics_reject_float64_overflow(name):
+    # finite inputs whose squared distances exceed float64: an error, never
+    # a NaN, a silently wrong number or a numpy RuntimeWarning
+    cb, data = random_instance(5, n=20)
+    cb, data = CodeBook(cb.prototypes * 1e160, cb.grid), Dataset(data.samples * 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            OVERFLOWING_METRICS[name](cb, data)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -125,6 +128,24 @@ def test_evaluate_partial_failure_keeps_other_metrics(fixture_files):
     assert isinstance(report.metrics["quantization_error"], float)
     assert "error" in report.metrics["trustworthiness"]
     assert report.failed == ["trustworthiness"]
+
+
+def test_evaluate_projects_once_for_label_metrics(fixture_files, monkeypatch):
+    codebook_path, data_path, labels_path, _, _, _ = fixture_files
+    calls = []
+
+    def counting_project(*args, **kwargs):
+        calls.append(kwargs)
+        return sm.project(*args, **kwargs)
+
+    monkeypatch.setattr("sommetrics.report.project", counting_project)
+    config = EvaluationConfig(
+        codebook_path=str(codebook_path), data_path=str(data_path), labels_path=str(labels_path),
+        rows=3, cols=3, metrics=("purity", "clustering_accuracy"),
+    )
+    report = evaluate(config)
+    assert not report.failed
+    assert len(calls) == 1
 
 
 def test_evaluate_json_round_trip_preserves_floats(fixture_files):
@@ -262,6 +283,26 @@ def test_cli_evaluate_failed_metric_exits_3_but_writes_report(runner, fixture_fi
     payload = json.loads(out.read_text())
     assert isinstance(payload["metrics"]["quantization_error"], float)
     assert "error" in payload["metrics"]["trustworthiness"]
+
+
+def test_cli_evaluate_overflow_is_one_error_line(fixture_files, tmp_path):
+    # a real process, so that numpy warnings would reach stderr
+    _, _, _, coords, samples, _ = fixture_files
+    codebook, data, out = tmp_path / "huge_codebook.csv", tmp_path / "huge_data.csv", tmp_path / "report.json"
+    save_matrix(codebook, coords * 1e160)
+    save_matrix(data, samples * 1e160)
+    metrics = ("quantization_error,topographic_error,combined_error,trustworthiness,"
+               "neighborhood_preservation,kruskal_shepard_error,c_measure,distortion")
+    src = str(Path(sm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "sommetrics.cli",
+         *_evaluate_args(codebook, data, metrics, ["--k", "3", "--temperature", "1.0", "--out", str(out)])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [f"error: computation: metric(s) failed: {metrics.replace(',', ', ')}"]
+    errors = json.loads(out.read_text())["metrics"].values()
+    assert all("overflow float64" in value["error"] for value in errors)
 
 
 def test_cli_evaluate_deterministic(runner, fixture_files):
