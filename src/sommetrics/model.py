@@ -6,6 +6,7 @@ from ``t_max`` to ``t_min``, and keeps the learning rate constant.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,26 @@ def _check_dims(codebook: CodeBook, data: Dataset) -> None:
         )
 
 
+@contextmanager
+def _overflow_is_an_error():
+    """Turn a float64 overflow inside the block into ``ValueError``.
+
+    Values above about 1e154 in magnitude make squared distances infinite,
+    which would make ties and ratios meaningless.
+    """
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise ValueError("squared distances overflow float64; rescale the data and prototypes") from None
+
+
+def _sum_squared_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``((a - b) ** 2).sum(axis=-1)``, raising ``ValueError`` on float64 overflow."""
+    with _overflow_is_an_error():
+        return ((a - b) ** 2).sum(axis=-1)
+
+
 def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Exact squared euclidean distances, rows of ``x`` against all prototypes.
 
@@ -114,27 +135,57 @@ def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     ``ValueError`` when a distance overflows float64 (|values| above about
     1e154), because an infinite distance would make ties and ratios meaningless.
     """
-    with np.errstate(over="raise"):
-        try:
-            return ((x[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
-        except FloatingPointError:
-            raise ValueError("squared distances overflow float64; rescale the data and prototypes") from None
+    return _sum_squared_differences(x[:, None, :], prototypes[None, :, :])
 
 
 def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionIndex:
-    """Rank map units by distance to each sample, truncated to ``depth``."""
+    """Rank map units by distance to each sample, truncated to ``depth``.
+
+    Ranks come from the exact squared distances of ``squared_distances``
+    (explicit differences), ties going to the lowest unit, and raise the same
+    ``ValueError`` on overflow. A matrix product only screens candidates: per
+    sample, every unit whose expanded-form distance ``|x|² - 2x·p + |p|²`` lies
+    within a rounding bound of the ``depth``-th smallest is recomputed exactly.
+    The bound holds for any summation order and with fused multiply-add, so
+    neither the BLAS library nor its thread count can change the ranks.
+    """
     _check_dims(codebook, data)
     K = codebook.n_units
     if not 1 <= depth <= K:
         raise ValueError(f"depth must be in 1..{K}, got {depth}")
     protos = codebook.prototypes
     n, d = data.samples.shape
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Screening about the prototype mean keeps the expanded form
+        # discriminating for data far from the origin.
+        center = protos.mean(axis=0)
+        centered = protos - center
+        pp = np.einsum("kd,kd->k", centered, centered)
+        reach = np.sqrt(pp.max())
     block = max(1, int(4_000_000 // max(1, K * d)))
     ranks = np.empty((n, depth), dtype=np.int64)
     for start in range(0, n, block):
-        sl = slice(start, min(start + block, n))
-        d2 = squared_distances(data.samples[sl], protos)
-        ranks[sl] = np.argsort(d2, axis=1, kind="stable")[:, :depth]
+        x = data.samples[start:start + block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cx = x - center
+            xx = np.einsum("nd,nd->n", cx, cx)
+            screen = -2.0 * (cx @ centered.T) + xx[:, None] + pp
+            # 4(D+4)·(eps·(|x| + max|p|)² + 2·tiny), norms taken from the
+            # prototype mean, exceeds the rounding error of two screened and
+            # two exact distances (centering, any summation order, fused
+            # multiply-add and underflow included). Written with the doubled
+            # radius, it overflows to inf, keeping every unit, whenever an
+            # exact distance of the row could overflow; a NaN screen or cut
+            # also keeps every unit.
+            slack = (d + 4) * (eps * (2.0 * (np.sqrt(xx) + reach)) ** 2 + 8.0 * tiny)
+            limit = np.partition(screen, depth - 1, axis=1)[:, depth - 1] + slack
+            keep = ~(screen > limit[:, None])
+        rows, units = np.nonzero(keep)
+        exact = _sum_squared_differences(x[rows], protos[units])
+        ranked = units[np.lexsort((units, exact, rows))]
+        counts = keep.sum(axis=1)
+        ranks[start:start + len(x)] = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
     return ProjectionIndex(ranks)
 
 
@@ -218,12 +269,13 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     n = data.n_samples
     ratio = config.t_min / config.t_max
     iters = config.iterations
-    for step in range(1, iters + 1):
-        anneal = ratio ** (step / iters)
-        t = config.t_max * anneal
-        i = int(rng.integers(n))
-        diff = x[i] - protos
-        b = int(np.argmin((diff * diff).sum(axis=1)))
-        w = config.kernel.weight(dmat[b], t)
-        protos += (config.alpha * anneal) * w[:, None] * diff
+    with _overflow_is_an_error():
+        for step in range(1, iters + 1):
+            anneal = ratio ** (step / iters)
+            t = config.t_max * anneal
+            i = int(rng.integers(n))
+            diff = x[i] - protos
+            b = int(np.argmin((diff * diff).sum(axis=1)))
+            w = config.kernel.weight(dmat[b], t)
+            protos += (config.alpha * anneal) * w[:, None] * diff
     return CodeBook(protos, grid)

@@ -9,6 +9,8 @@ import itertools
 import math
 from collections import deque
 
+import numpy as np
+
 
 def bfs_distances(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
     """All-pairs shortest path lengths by breadth-first search."""
@@ -53,6 +55,20 @@ def min_path_cost_exhaustive(n_nodes: int, edges: dict[tuple[int, int], float],
 
     walk(start, 0.0, {start})
     return best
+
+
+def project_bruteforce(samples, prototypes, depth: int) -> list[list[int]]:
+    """The ``depth`` nearest units of each sample, ordered by (squared distance, unit index).
+
+    Each distance sums the squared explicit differences with numpy, so that it
+    rounds exactly as the library's distances do; the ranking is a Python sort.
+    """
+    protos = np.asarray(prototypes, dtype=float)
+    out = []
+    for x in np.asarray(samples, dtype=float):
+        d2 = ((x - protos) ** 2).sum(axis=1)
+        out.append(sorted(range(len(protos)), key=lambda k: (d2[k], k))[:depth])
+    return out
 
 
 def trust_np_bruteforce(samples, bmus, unit_distances, k: int) -> tuple[float, float]:

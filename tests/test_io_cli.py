@@ -348,6 +348,22 @@ def test_cli_train_deterministic_bytes(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_train_overflow_is_one_error_line(tmp_path):
+    # a real process, so that numpy warnings would reach stderr
+    data, out = tmp_path / "huge_data.csv", tmp_path / "codebook.csv"
+    save_matrix(data, np.random.default_rng(3).random((20, 2)) * 1e160)
+    src = str(Path(sm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "sommetrics.cli", "train", "--data", str(data), "--rows", "2", "--cols", "3",
+         "--iters", "50", "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "error: computation: ValueError: squared distances overflow float64; rescale the data and prototypes"]
+    assert not out.exists()
+
+
 def test_cli_train_round_trip_close_to_library(runner, tmp_path):
     data_arr = np.random.default_rng(2).random((60, 2))
     data = tmp_path / "data.csv"

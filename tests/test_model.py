@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,9 @@ from sommetrics import (
     receptive_field_connectivity,
     train_som,
 )
+from sommetrics.grid import TOPOLOGIES
+
+from oracles import project_bruteforce
 
 
 def chain_codebook(values):
@@ -79,6 +84,80 @@ def test_project_full_depth_is_permutation(rows, cols, n, seed):
     expected = np.arange(grid.n_units)
     for row in ranks:
         assert np.array_equal(np.sort(row), expected)
+
+
+def projection_data(kind, rng, k, d, n):
+    """(prototypes, samples) of one of the hard cases for a screened projection."""
+    if kind == "ties":  # small integers: many exactly equal distances
+        return rng.integers(-2, 3, (k, d)).astype(float), rng.integers(-2, 3, (n, d)).astype(float)
+    if kind == "duplicates":
+        protos = rng.normal(size=(max(1, k // 2), d))[rng.integers(0, max(1, k // 2), k)]
+        samples = rng.normal(size=(n, d))
+        samples[: n // 3] = protos[rng.integers(0, k, n // 3)]
+        return protos, samples
+    if kind == "cancellation":  # two far clusters of tiny spread: |x|^2 dwarfs the distances
+        offset = 10.0 ** rng.integers(4, 9)
+        def points(m):
+            return offset * rng.choice([-1.0, 1.0], (m, 1)) + 1e-4 * rng.normal(size=(m, d))
+        return points(k), points(n)
+    scale = 1e-160  # "subnormal": squared distances round to subnormal numbers
+    if rng.random() < 0.5:
+        return scale * rng.integers(-3, 4, (k, d)), scale * rng.integers(-3, 4, (n, d))
+    return scale * rng.normal(size=(k, d)), scale * rng.normal(size=(n, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["ties", "duplicates", "cancellation", "subnormal"]),
+    topology=st.sampled_from(TOPOLOGIES),
+    wide=st.sampled_from([False, False, False, True]),
+    depth=st.sampled_from([1, 2, "K"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_project_matches_bruteforce(kind, topology, wide, depth, seed):
+    rng = np.random.default_rng(seed)
+    if wide:  # D=250 on a 10x10 map gives 160-row projection blocks; 170 samples cross one
+        rows, cols, d, n = 10, 10, 250, 170
+    else:
+        rows, cols, d, n = (int(v) for v in (rng.integers(1, 5), rng.integers(2, 5), rng.integers(1, 6),
+                                              rng.integers(1, 40)))
+    grid = MapGrid(rows, cols, topology)
+    depth = grid.n_units if depth == "K" else depth
+    protos, samples = projection_data(kind, rng, grid.n_units, d, n)
+    ranks = project(CodeBook(protos, grid), Dataset(samples), depth=depth).bmu_ranks
+    assert ranks.tolist() == project_bruteforce(samples, protos, depth)
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.25])
+def test_project_with_overflowing_norms_matches_bruteforce(spread):
+    # |x|^2 overflows float64 but no difference does, so there is no error and
+    # no numpy warning; spread prototypes make every unit a candidate
+    rng = np.random.default_rng(4)
+    k, d, n = 12, 3, 40
+    protos = 1.2e154 * (1.0 + spread * rng.uniform(-1.0, 1.0, (k, d)))
+    samples = protos[rng.integers(0, k, n)] + 1e150 * rng.normal(size=(n, d))
+    with np.errstate(over="ignore"):
+        assert np.isinf((samples * samples).sum(axis=1)).all()
+    cb = CodeBook(protos, MapGrid(3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for depth in (1, 2, k):
+            ranks = project(cb, Dataset(samples), depth=depth).bmu_ranks
+            assert ranks.tolist() == project_bruteforce(samples, protos, depth)
+
+
+@pytest.mark.parametrize("far", ["all", "one prototype"])
+def test_project_rejects_float64_overflow(far):
+    rng = np.random.default_rng(5)
+    protos, samples = rng.normal(size=(6, 2)), rng.normal(size=(10, 2))
+    if far == "all":
+        protos, samples = protos * 1e160, samples * 1e160
+    else:  # the nearest units are fine, one distance of every sample overflows
+        protos[4] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            project(CodeBook(protos, MapGrid(2, 3)), Dataset(samples), depth=1)
 
 
 def test_receptive_field_connectivity_single_pair():
