@@ -33,11 +33,11 @@ def distortion(codebook: CodeBook, data: Dataset, temperature: float,
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     _check_dims(codebook, data)
-    dmat = distance_matrix(codebook.grid).astype(float)
+    weights = kernel.weight(distance_matrix(codebook.grid).astype(float), temperature)  # K x K, by BMU row
     total = 0.0
     for start in range(0, data.n_samples, _BLOCK):
         d2 = squared_distances(data.samples[start:start + _BLOCK], codebook.prototypes)
-        w = kernel.weight(dmat[d2.argmin(axis=1)], temperature)  # BMU: ties to the lowest unit, as in project
+        w = weights[d2.argmin(axis=1)]  # BMU: ties to the lowest unit, as in project
         total += float((w * d2).sum())
     return total / data.n_samples
 
@@ -121,25 +121,28 @@ def _np_trust_scores(codebook: CodeBook, data: Dataset, k: int) -> tuple[float, 
         others[np.arange(b), np.arange(b) + rows.start] = False  # drop each row's own sample
         d2, dm = d2[others].reshape(b, n - 1), dm[others].reshape(b, n - 1)
 
-        # input side: stable order (exact k nearest, ties to lowest sample
-        # index) and min-ranks, the first sorted position of each run of ties
-        order = np.argsort(d2, axis=1, kind="stable")
-        ranked = np.take_along_axis(d2, order, axis=1)
-        run_start = np.ones(ranked.shape, dtype=bool)
-        run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        rank_in = np.maximum.accumulate(np.where(run_start, np.arange(1, n), 0), axis=1)
+        # input side: the exact k nearest, ties at the k-th value going to
+        # the lowest sample index; min-ranks (strictly closer count + 1) by
+        # binary search in the sorted row
+        ranked = np.sort(d2, axis=1)
+        kth = ranked[:, k - 1:k]
+        below, at_kth = d2 < kth, d2 == kth
+        nearest = below | (at_kth & (np.cumsum(at_kth, axis=1) <= k - below.sum(axis=1)[:, None]))
 
         # map side: tie-expanded projected set, min-ranks from per-row counts
         cut = np.partition(dm, k - 1, axis=1)[:, k - 1:k]
-        proj_set = np.take_along_axis(dm <= cut, order, axis=1)  # in input order
+        proj_set = dm <= cut
         width = int(dm.max()) + 1
         counts = np.bincount((dm + width * np.arange(b)[:, None]).ravel(), minlength=b * width).reshape(b, width)
         closer = np.cumsum(counts, axis=1) - counts
-        rank_map = np.take_along_axis(closer, np.take_along_axis(dm, order[:, :k], axis=1), axis=1) + 1
 
         size = proj_set.sum(axis=1)
-        false_pen = np.where(proj_set[:, k:], rank_in[:, k:] - k, 0).sum(axis=1)
-        missed_pen = np.where(proj_set[:, :k], 0, rank_map - k).sum(axis=1)
+        false_set = proj_set & ~nearest
+        false_pen = np.zeros(b, dtype=np.int64)
+        for i in np.flatnonzero(false_set.any(axis=1)):
+            false_pen[i] = (np.searchsorted(ranked[i], d2[i, false_set[i]]) + 1 - k).sum()
+        near_dm = dm[nearest].reshape(b, k)  # exactly k per row, in input order
+        missed_pen = np.where(near_dm <= cut, 0, np.take_along_axis(closer, near_dm, axis=1) + 1 - k).sum(axis=1)
         trust_terms[rows] = (k / size) * false_pen.astype(float)
         np_terms[rows] = (size / k) * missed_pen.astype(float)
 
@@ -180,17 +183,18 @@ def topographic_product(codebook: CodeBook) -> float:
 
     orders = 1.0 / (2.0 * np.arange(1, K))
     total = 0.0
-    for j in range(K):
-        din = np.sqrt(squared_distances(p[j:j + 1], p)[0])
-        if np.count_nonzero(din == 0.0) > 1:
-            raise ValueError("duplicate prototypes: topographic product needs nonzero pairwise distances")
-        # unit j is the only zero on both sides, so it sorts first; stable
-        # sorts keep the relative order of the other units
-        by_map = np.argsort(dmap[j], kind="stable")[1:]
-        by_input = np.argsort(din, kind="stable")[1:]
-        logs = (np.log(din[by_map]) - np.log(din[by_input])
-                + np.log(dmap[j, by_map]) - np.log(dmap[j, by_input]))
-        total += float((np.cumsum(logs) * orders).sum())
+    for start in range(0, K, _BLOCK):
+        dins = squared_distances(p[start:start + _BLOCK], p)
+        for j, din in enumerate(np.sqrt(dins, out=dins), start):
+            if np.count_nonzero(din == 0.0) > 1:
+                raise ValueError("duplicate prototypes: topographic product needs nonzero pairwise distances")
+            # unit j is the only zero on both sides, so it sorts first; stable
+            # sorts keep the relative order of the other units
+            by_map = np.argsort(dmap[j], kind="stable")[1:]
+            by_input = np.argsort(din, kind="stable")[1:]
+            logs = (np.log(din[by_map]) - np.log(din[by_input])
+                    + np.log(dmap[j, by_map]) - np.log(dmap[j, by_input]))
+            total += float((np.cumsum(logs) * orders).sum())
     return total / (K * (K - 1))
 
 

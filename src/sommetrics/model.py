@@ -121,21 +121,98 @@ def _overflow_is_an_error():
             raise ValueError("squared distances overflow float64; rescale the data and prototypes") from None
 
 
-def _sum_squared_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``((a - b) ** 2).sum(axis=-1)``, raising ``ValueError`` on float64 overflow."""
-    with _overflow_is_an_error():
-        return ((a - b) ** 2).sum(axis=-1)
+_CHUNK = 65_536  # elements per temporary of the distance kernel; a constant, so bits never depend on the machine
+
+
+def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
+    """``term(lo) + ... + term(hi - 1)``, added in the order of numpy's pairwise summation.
+
+    That is the order in which ``arr.sum(axis=-1)`` adds a contiguous last
+    axis, so summing coordinate terms one at a time gives the bits of
+    ``((a - b) ** 2).sum(axis=-1)`` without its (..., D) temporary. Fewer than
+    8 terms are added in order; up to 128 go to 8 interleaved partial sums,
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in
+    order; longer runs split at half their length rounded down to a multiple
+    of 8. ``term(j, out)`` fills ``out``, or a new array when ``out`` is None;
+    at most 9 arrays are live per level.
+    """
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(term, lo, lo + half)
+        total += _pairwise_sum(term, lo + half, hi)
+        return total
+    buf = None
+    if n < 8:
+        total, rest = term(lo), range(lo + 1, hi)
+    else:
+        r = [term(lo + m) for m in range(8)]
+        end = hi - n % 8
+        for i in range(lo + 8, end, 8):
+            for m in range(8):
+                buf = term(i + m, buf)
+                r[m] += buf
+        r[0] += r[1]
+        r[2] += r[3]
+        r[0] += r[2]
+        r[4] += r[5]
+        r[6] += r[7]
+        r[4] += r[6]
+        r[0] += r[4]
+        total, rest = r[0], range(end, hi)
+    for j in rest:
+        buf = term(j, buf)
+        total += buf
+    return total
+
+
+def _squared(diff: np.ndarray) -> np.ndarray:
+    return np.multiply(diff, diff, out=diff)
 
 
 def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Exact squared euclidean distances, rows of ``x`` against all prototypes.
 
     Computed from explicit differences (not the expanded dot-product form) so
-    that exact ties in the inputs stay exact ties in the output. Raises
-    ``ValueError`` when a distance overflows float64 (|values| above about
-    1e154), because an infinite distance would make ties and ratios meaningless.
+    that exact ties in the inputs stay exact ties in the output, and bit for
+    bit equal to ``((x[:, None] - prototypes[None]) ** 2).sum(-1)``, in chunks
+    of at most ``_CHUNK`` output elements. Raises ``ValueError`` when a
+    distance overflows float64 (|values| above about 1e154), because an
+    infinite distance would make ties and ratios meaningless.
     """
-    return _sum_squared_differences(x[:, None, :], prototypes[None, :, :])
+    n, m, d = len(x), len(prototypes), x.shape[1]
+    out = np.zeros((n, m))
+    if d == 0:  # no coordinates: every distance is 0
+        return out
+    cols = max(1, min(m, _CHUNK))
+    rows = _CHUNK // cols
+    xt, pt = np.ascontiguousarray(x.T), np.ascontiguousarray(prototypes.T)
+    with _overflow_is_an_error():
+        for r0 in range(0, n, rows):
+            a = xt[:, r0:r0 + rows, None]
+            for c0 in range(0, m, cols):
+                b = pt[:, None, c0:c0 + cols]
+                out[r0:r0 + rows, c0:c0 + cols] = _pairwise_sum(
+                    lambda j, buf=None: _squared(np.subtract(a[j], b[j], out=buf)), 0, d)
+    return out
+
+
+def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.ndarray,
+                              units: np.ndarray) -> np.ndarray:
+    """``squared_distances(x, prototypes)[rows, units]``, computing only those pairs.
+
+    Gathers one coordinate column per term, in chunks of ``_CHUNK`` pairs.
+    """
+    d = x.shape[1]
+    out = np.zeros(len(rows))
+    if d == 0:  # no coordinates: every distance is 0
+        return out
+    with _overflow_is_an_error():
+        for s in range(0, len(rows), _CHUNK):
+            r, u = rows[s:s + _CHUNK], units[s:s + _CHUNK]
+            out[s:s + _CHUNK] = _pairwise_sum(
+                lambda j, buf=None: _squared(np.subtract(x[r, j], prototypes[u, j], out=buf)), 0, d)
+    return out
 
 
 def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionIndex:
@@ -182,7 +259,7 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
             limit = np.partition(screen, depth - 1, axis=1)[:, depth - 1] + slack
             keep = ~(screen > limit[:, None])
         rows, units = np.nonzero(keep)
-        exact = _sum_squared_differences(x[rows], protos[units])
+        exact = _paired_squared_distances(x, rows, protos, units)
         ranked = units[np.lexsort((units, exact, rows))]
         counts = keep.sum(axis=1)
         ranks[start:start + len(x)] = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
@@ -242,6 +319,18 @@ class TrainerConfig:
             raise ValueError(f"learning rate must be positive, got {self.alpha}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        # the last step has the lowest temperature; train_som computes it as
+        # t_max * ratio ** 1, and its weights as kernel.weight does
+        t_last = self.t_max * (self.t_min / self.t_max)
+        diameter = float(distance_matrix(self.grid).max())
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                self.kernel.weight(np.array([0.0, diameter]), t_last)
+        except (FloatingPointError, ValueError):
+            raise ValueError(
+                f"t_min={self.t_min} is too small: the {self.kernel.kind} kernel cannot weigh map distances "
+                f"0..{diameter:g} at the last step's temperature {t_last:g} in float64"
+            ) from None
 
     @property
     def grid(self) -> MapGrid:

@@ -258,6 +258,23 @@ def test_trust_np_match_bruteforce_on_random_instances(seed, n, k):
     assert neighborhood_preservation(cb, data, k) == pytest.approx(oracle_np, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), topology=st.sampled_from(["rectangular", "hexagonal"]),
+       n=st.integers(7, 40), k_frac=st.floats(0.0, 1.0))
+def test_trust_np_match_bruteforce_on_tied_integer_data(seed, topology, n, k_frac):
+    # small integers in both spaces: exact ties at the k-th input distance
+    # and at the map cut, for every k up to the largest allowed one
+    rng = np.random.default_rng(seed)
+    grid = MapGrid(int(rng.integers(1, 4)), int(rng.integers(2, 5)), topology)
+    d = int(rng.integers(1, 4))
+    cb = CodeBook(rng.integers(0, 3, size=(grid.n_units, d)).astype(float), grid)
+    data = Dataset(rng.integers(0, 3, size=(n, d)).astype(float))
+    k = 1 + int(k_frac * ((n - 1) // 2 - 1))  # 1 <= k < n / 2
+    oracle_trust, oracle_np = _oracle_pair(cb, data, k)
+    assert trustworthiness(cb, data, k) == pytest.approx(oracle_trust, abs=1e-12)
+    assert neighborhood_preservation(cb, data, k) == pytest.approx(oracle_np, abs=1e-12)
+
+
 @pytest.mark.parametrize("topology", ["rectangular", "hexagonal"])
 @pytest.mark.parametrize("seed", range(3))
 def test_pair_metrics_do_not_depend_on_block_size(monkeypatch, topology, seed):

@@ -364,6 +364,22 @@ def test_cli_train_overflow_is_one_error_line(tmp_path):
     assert not out.exists()
 
 
+def test_cli_train_tiny_t_min_is_one_config_line(tmp_path):
+    # a real process: the Gaussian's d^2/T^2 would overflow at the last step
+    data, out = tmp_path / "data.csv", tmp_path / "codebook.csv"
+    save_matrix(data, np.random.default_rng(3).random((20, 2)))
+    src = str(Path(sm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "sommetrics.cli", "train", "--data", str(data), "--rows", "2", "--cols", "3",
+         "--tmin", "1e-158", "--iters", "50", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config: t_min=1e-158 is too small")
+    assert not out.exists()
+
+
 def test_cli_train_round_trip_close_to_library(runner, tmp_path):
     data_arr = np.random.default_rng(2).random((60, 2))
     data = tmp_path / "data.csv"

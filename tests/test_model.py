@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from sommetrics import (
     receptive_field_connectivity,
     train_som,
 )
+from sommetrics import model
 from sommetrics.grid import TOPOLOGIES
 
 from oracles import project_bruteforce
@@ -160,6 +162,42 @@ def test_project_rejects_float64_overflow(far):
             project(CodeBook(protos, MapGrid(2, 3)), Dataset(samples), depth=1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 300),
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    chunk=st.sampled_from([1, 7, 40, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distance_kernel_matches_numpy_sum(d, shape, chunk, seed):
+    # the kernel replays numpy's pairwise summation order column by column; a
+    # numpy whose reduction order differs must fail here, not shift metrics
+    rng = np.random.default_rng(seed)
+    b, n = shape
+    a = rng.normal(size=(b, d)) * rng.uniform(0.0, 10.0, size=d)
+    p = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    rows, units = rng.integers(0, b, size=3 * b), rng.integers(0, n, size=3 * b)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:  # small budgets cross chunk boundaries
+            mp.setattr(model, "_CHUNK", chunk)
+        assert np.array_equal(model.squared_distances(a, p), ((a[:, None, :] - p[None, :, :]) ** 2).sum(-1))
+        assert np.array_equal(model._paired_squared_distances(a, rows, p, units),
+                              ((a[rows] - p[units]) ** 2).sum(-1))
+
+
+def test_project_depth_k_memory_is_bounded():
+    rng = np.random.default_rng(6)
+    grid = MapGrid(30, 30, "hexagonal")
+    cb, data = CodeBook(rng.normal(size=(grid.n_units, 16)), grid), Dataset(rng.normal(size=(2000, 16)))
+    tracemalloc.start()
+    try:
+        project(cb, data, depth=grid.n_units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20  # two gathered (B*K) x D copies alone are 61 MiB
+
+
 def test_receptive_field_connectivity_single_pair():
     cb = chain_codebook([0.0, 1.0, 5.0])
     data = Dataset(np.array([[0.2]]))  # b1 = 0, b2 = 1
@@ -281,6 +319,24 @@ def test_trainer_config_validation():
         TrainerConfig(2, 2, alpha=0.0)
     with pytest.raises(ValueError):
         TrainerConfig(2, 2, iterations=0)
+    with pytest.raises(ValueError, match="grid dimensions"):
+        TrainerConfig(0, 2)
+
+
+def test_trainer_config_refuses_t_min_the_gaussian_cannot_weigh():
+    # at 1e-158, (3 / T)^2 overflows float64 on a 2x3 map; at 1e-170 even T^2 underflows to 0
+    for t_min in (1e-158, 1e-170):
+        with pytest.raises(ValueError, match=f"t_min={t_min}"):
+            TrainerConfig(2, 3, t_min=t_min)
+    with pytest.raises(ValueError, match="t_min"):
+        TrainerConfig(1, 1, t_max=1.0, t_min=1e-170)  # distance 0 only: 0 / 0
+    TrainerConfig(1, 1, t_max=1.0, t_min=1e-160)  # T^2 is subnormal but not 0
+    TrainerConfig(2, 3, t_min=1e-158, kernel=WINDOW)
+    data = Dataset(np.random.default_rng(0).random((50, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codebook = train_som(data, TrainerConfig(2, 3, t_max=1.0, t_min=1e-153, iterations=200))
+    assert np.all(np.isfinite(codebook.prototypes))
 
 
 def test_dataset_label_validation():
