@@ -124,5 +124,16 @@ class NeighborhoodKernel:
         return w if arr.ndim else float(w)
 
 
+def _weights_by_distance(kernel: NeighborhoodKernel, grid: MapGrid, temperature: float) -> np.ndarray:
+    """Weights at map distances 0..diameter; ``ValueError`` naming the temperature if float64 cannot hold one."""
+    diameter = int(distance_matrix(grid).max())
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return kernel.weight(np.arange(diameter + 1.0), temperature)
+    except FloatingPointError:
+        raise ValueError(f"the {kernel.kind} kernel cannot weigh map distances 0..{diameter} "
+                         f"at temperature {temperature:g} in float64") from None
+
+
 GAUSSIAN = NeighborhoodKernel("gaussian")
 WINDOW = NeighborhoodKernel("window")

@@ -11,10 +11,9 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import dijkstra
 
-from .grid import GAUSSIAN, NeighborhoodKernel, adjacency_pairs, distance_matrix
-from .model import CodeBook, Dataset, _check_dims, bmu_distances, project, receptive_field_connectivity, squared_distances
-
-_BLOCK = 256  # row block size for O(N^2) pairwise scans
+from .grid import GAUSSIAN, NeighborhoodKernel, _weights_by_distance, adjacency_pairs, distance_matrix
+from .model import (_BLOCK, CodeBook, Dataset, _check_dims, _overflow_is_an_error, _paired_squared_distances,
+                    bmu_distances, project, receptive_field_connectivity, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -30,16 +29,16 @@ def distortion(codebook: CodeBook, data: Dataset, temperature: float,
     The loss minimized by SOM training: every unit contributes for every
     sample, weighted by the kernel applied to its map distance from the BMU.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    grid = codebook.grid
+    weights = _weights_by_distance(kernel, grid, temperature)[distance_matrix(grid)]  # K x K, by BMU row
     _check_dims(codebook, data)
-    weights = kernel.weight(distance_matrix(codebook.grid).astype(float), temperature)  # K x K, by BMU row
-    total = 0.0
-    for start in range(0, data.n_samples, _BLOCK):
-        d2 = squared_distances(data.samples[start:start + _BLOCK], codebook.prototypes)
-        w = weights[d2.argmin(axis=1)]  # BMU: ties to the lowest unit, as in project
-        total += float((w * d2).sum())
-    return total / data.n_samples
+    total = np.float64(0.0)  # a numpy scalar, so that an overflowing running total raises too
+    with _overflow_is_an_error():
+        for start in range(0, data.n_samples, _BLOCK):
+            d2 = squared_distances(data.samples[start:start + _BLOCK], codebook.prototypes)
+            w = weights[d2.argmin(axis=1)]  # BMU: ties to the lowest unit, as in project
+            total += (w * d2).sum()
+    return float(total) / data.n_samples
 
 
 def topographic_error(codebook: CodeBook, data: Dataset) -> float:
@@ -62,7 +61,7 @@ def _map_path_costs(codebook: CodeBook, sources: np.ndarray) -> np.ndarray:
     K = codebook.n_units
     a, b = adjacency_pairs(codebook.grid).T
     p = codebook.prototypes
-    w = ((p[a] - p[b]) ** 2).sum(axis=1)
+    w = _paired_squared_distances(p, a, p, b)
     graph = coo_array((w, (a, b)), shape=(K, K)).tocsr()
     return dijkstra(graph, directed=False, indices=sources)
 
@@ -79,8 +78,7 @@ def combined_error(codebook: CodeBook, data: Dataset) -> float:
     proj = project(codebook, data, depth=2)
     sources, row = np.unique(proj.bmu, return_inverse=True)
     costs = _map_path_costs(codebook, sources)
-    diff = data.samples - codebook.prototypes[proj.bmu]
-    first = (diff * diff).sum(axis=1)
+    first = _paired_squared_distances(data.samples, np.arange(data.n_samples), codebook.prototypes, proj.bmu)
     return float((first + costs[row, proj.second_bmu]).mean())
 
 

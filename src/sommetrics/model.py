@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GAUSSIAN, MapGrid, NeighborhoodKernel, distance_matrix
+from .grid import GAUSSIAN, MapGrid, NeighborhoodKernel, _weights_by_distance, distance_matrix
 
 
 @dataclass
@@ -122,6 +122,7 @@ def _overflow_is_an_error():
 
 
 _CHUNK = 65_536  # elements per temporary of the distance kernel; a constant, so bits never depend on the machine
+_BLOCK = 256  # rows per block of every scan (projection, pair scans, distortion, topographic product)
 
 
 def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
@@ -240,10 +241,9 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
         centered = protos - center
         pp = np.einsum("kd,kd->k", centered, centered)
         reach = np.sqrt(pp.max())
-    block = max(1, int(4_000_000 // max(1, K * d)))
     ranks = np.empty((n, depth), dtype=np.int64)
-    for start in range(0, n, block):
-        x = data.samples[start:start + block]
+    for start in range(0, n, _BLOCK):
+        x = data.samples[start:start + _BLOCK]
         with np.errstate(over="ignore", invalid="ignore"):
             cx = x - center
             xx = np.einsum("nd,nd->n", cx, cx)
@@ -268,8 +268,7 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
 
 def bmu_distances(codebook: CodeBook, data: Dataset, bmus: np.ndarray) -> np.ndarray:
     """Euclidean distance from each sample to its assigned unit's prototype."""
-    diff = data.samples - codebook.prototypes[bmus]
-    return np.sqrt((diff * diff).sum(axis=1))
+    return np.sqrt(_paired_squared_distances(data.samples, np.arange(data.n_samples), codebook.prototypes, bmus))
 
 
 def receptive_field_connectivity(codebook: CodeBook, data: Dataset) -> np.ndarray:
@@ -321,16 +320,11 @@ class TrainerConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         # the last step has the lowest temperature; train_som computes it as
         # t_max * ratio ** 1, and its weights as kernel.weight does
-        t_last = self.t_max * (self.t_min / self.t_max)
-        diameter = float(distance_matrix(self.grid).max())
+        grid = self.grid  # an invalid grid raises its own error, outside the t_min message
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                self.kernel.weight(np.array([0.0, diameter]), t_last)
-        except (FloatingPointError, ValueError):
-            raise ValueError(
-                f"t_min={self.t_min} is too small: the {self.kernel.kind} kernel cannot weigh map distances "
-                f"0..{diameter:g} at the last step's temperature {t_last:g} in float64"
-            ) from None
+            _weights_by_distance(self.kernel, grid, self.t_max * (self.t_min / self.t_max))
+        except ValueError as exc:
+            raise ValueError(f"t_min={self.t_min} is too small: {exc}") from None
 
     @property
     def grid(self) -> MapGrid:

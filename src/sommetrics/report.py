@@ -160,17 +160,11 @@ def _jsonable(value):
 
 
 def _csv_cells(name: str, value) -> list[tuple[str, str]]:
-    if isinstance(value, TopographicFunction):
-        cells = [
-            (f"{name}.k", ";".join(str(int(k)) for k in value.k)),
-            (f"{name}.tf", ";".join(str(int(t)) for t in value.tf)),
-            (f"{name}.normalized_k", ";".join(repr(float(v)) for v in value.normalized_k)),
-        ]
-        if value.normalized_tf is not None:
-            cells.append((f"{name}.normalized_tf", ";".join(repr(float(v)) for v in value.normalized_tf)))
-        return cells
     if isinstance(value, dict) and "error" in value:
         return [(name, f"error:{value['error']}")]
+    value = _jsonable(value)
+    if isinstance(value, dict):  # one row per series, Python ints and floats joined by ";"
+        return [(f"{name}.{key}", ";".join(map(repr, series))) for key, series in value.items() if series is not None]
     return [(name, repr(float(value)))]
 
 

@@ -106,6 +106,17 @@ def test_distortion_requires_positive_temperature():
         distortion(cb, data, 0.0)
 
 
+def test_distortion_refuses_temperature_the_gaussian_cannot_weigh():
+    # at 1e-158, (3 / T)^2 overflows float64 on a 2x3 map; at 1e-170 T^2 is 0 and 0 / 0 is NaN
+    cb, data = random_instance(4, n=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e-158, 1e-170):
+            with pytest.raises(ValueError, match=f"temperature {t:g}"):
+                distortion(cb, data, t)
+        assert distortion(cb, data, 1e-170, WINDOW) == distortion(cb, data, 0.5, WINDOW)
+
+
 # ---------------------------------------------------------------------------
 # topographic error
 # ---------------------------------------------------------------------------
@@ -498,3 +509,27 @@ def test_metrics_reject_float64_overflow(name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow float64"):
             OVERFLOWING_METRICS[name](cb, data)
+
+
+def test_distortion_total_overflow_is_an_error():
+    # every squared distance is finite, their weighted sum is not
+    rng = np.random.default_rng(6)
+    grid = MapGrid(3, 3)
+    cb, data = CodeBook(rng.random((9, 4)) * 1e153, grid), Dataset(rng.random((200, 4)) * 1e153)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            distortion(cb, data, 1.0)
+
+
+def test_ce_path_weight_overflow_is_an_error():
+    # adjacent units 0 and 1 are 2.6e154 apart, so their edge weight overflows;
+    # every sample-to-prototype distance stays finite
+    rng = np.random.default_rng(7)
+    protos = rng.random((6, 2))
+    protos[0], protos[1] = [1.3e154, 0.0], [-1.3e154, 0.0]
+    cb, data = CodeBook(protos, MapGrid(2, 3)), Dataset(rng.random((20, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            combined_error(cb, data)

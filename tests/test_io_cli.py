@@ -305,6 +305,21 @@ def test_cli_evaluate_overflow_is_one_error_line(fixture_files, tmp_path):
     assert all("overflow float64" in value["error"] for value in errors)
 
 
+def test_cli_evaluate_tiny_temperature_is_one_error_line(fixture_files, tmp_path):
+    # a real process: the Gaussian's 0 / 0 at T^2 = 0 would print numpy warnings
+    codebook_path, data_path, _, _, _, _ = fixture_files
+    out = tmp_path / "report.json"
+    src = str(Path(sm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "sommetrics.cli",
+         *_evaluate_args(codebook_path, data_path, "distortion", ["--temperature", "1e-170", "--out", str(out)])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == ["error: computation: metric(s) failed: distortion"]
+    assert "temperature 1e-170" in json.loads(out.read_text())["metrics"]["distortion"]["error"]
+
+
 def test_cli_evaluate_deterministic(runner, fixture_files):
     codebook_path, data_path, labels_path, _, _, _ = fixture_files
     args = _evaluate_args(codebook_path, data_path,

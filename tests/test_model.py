@@ -118,7 +118,7 @@ def projection_data(kind, rng, k, d, n):
 )
 def test_project_matches_bruteforce(kind, topology, wide, depth, seed):
     rng = np.random.default_rng(seed)
-    if wide:  # D=250 on a 10x10 map gives 160-row projection blocks; 170 samples cross one
+    if wide:  # D=250, 170 samples: three 64-row blocks below
         rows, cols, d, n = 10, 10, 250, 170
     else:
         rows, cols, d, n = (int(v) for v in (rng.integers(1, 5), rng.integers(2, 5), rng.integers(1, 6),
@@ -126,7 +126,10 @@ def test_project_matches_bruteforce(kind, topology, wide, depth, seed):
     grid = MapGrid(rows, cols, topology)
     depth = grid.n_units if depth == "K" else depth
     protos, samples = projection_data(kind, rng, grid.n_units, d, n)
-    ranks = project(CodeBook(protos, grid), Dataset(samples), depth=depth).bmu_ranks
+    with pytest.MonkeyPatch.context() as mp:
+        if wide:
+            mp.setattr(model, "_BLOCK", 64)
+        ranks = project(CodeBook(protos, grid), Dataset(samples), depth=depth).bmu_ranks
     assert ranks.tolist() == project_bruteforce(samples, protos, depth)
 
 
@@ -186,16 +189,19 @@ def test_distance_kernel_matches_numpy_sum(d, shape, chunk, seed):
 
 
 def test_project_depth_k_memory_is_bounded():
+    # 30x30, D=16: two gathered (B*K) x D copies alone would be 61 MiB.
+    # 10x10, D=1, N=20000: the ranks are 15 MiB; index arrays for blocks
+    # sized by K*D rather than by rows would be over 100 MiB.
     rng = np.random.default_rng(6)
-    grid = MapGrid(30, 30, "hexagonal")
-    cb, data = CodeBook(rng.normal(size=(grid.n_units, 16)), grid), Dataset(rng.normal(size=(2000, 16)))
-    tracemalloc.start()
-    try:
-        project(cb, data, depth=grid.n_units)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48 * 2**20  # two gathered (B*K) x D copies alone are 61 MiB
+    for grid, d, n, limit in ((MapGrid(30, 30, "hexagonal"), 16, 2000, 48), (MapGrid(10, 10), 1, 20000, 32)):
+        cb, data = CodeBook(rng.normal(size=(grid.n_units, d)), grid), Dataset(rng.normal(size=(n, d)))
+        tracemalloc.start()
+        try:
+            project(cb, data, depth=grid.n_units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20
 
 
 def test_receptive_field_connectivity_single_pair():
