@@ -6,20 +6,11 @@ prototype pairs and prints how each organization index responds. Useful for
 eyeballing index sensitivity; writes CSV to stdout.
 """
 import argparse
-import sys
 
 import numpy as np
 
-from sommetrics import (
-    Dataset,
-    TrainerConfig,
-    c_measure,
-    combined_error,
-    kruskal_shepard_error,
-    topographic_error,
-    train_som,
-)
-from sommetrics.demos import _swap_units
+from sommetrics import Dataset, TrainerConfig, train_som
+from sommetrics.demos import _ORGANIZATION_METRICS, _swap_units
 
 
 def main() -> None:
@@ -34,14 +25,10 @@ def main() -> None:
     data = Dataset(rng.random((args.samples, 2)))
     trained = train_som(data, TrainerConfig(10, 10, seed=args.seed))
 
-    writer = sys.stdout
-    writer.write("swap_fraction,topographic_error,combined_error,kruskal_shepard_error,c_measure\n")
+    print(",".join(["swap_fraction", *_ORGANIZATION_METRICS]))
     for fraction in (float(f) for f in args.fractions.split(",")):
         cb = _swap_units(trained, fraction, np.random.default_rng(args.seed + 1))
-        writer.write(
-            f"{fraction},{topographic_error(cb, data)!r},{combined_error(cb, data)!r},"
-            f"{kruskal_shepard_error(cb, data)!r},{c_measure(cb, data)!r}\n"
-        )
+        print(",".join([str(fraction), *(repr(fn(cb, data)) for fn in _ORGANIZATION_METRICS.values())]))
 
 
 if __name__ == "__main__":

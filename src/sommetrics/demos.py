@@ -23,8 +23,6 @@ from .internal import (
 )
 from .model import CodeBook, Dataset, TrainerConfig, train_som
 
-EXPERIMENTS = ("square", "tf1d", "stripe")
-
 # Fraction of unit pairs whose prototypes get swapped for the medium map.
 _MEDIUM_SWAP_FRACTION = 0.25
 
@@ -47,8 +45,38 @@ def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+# Table columns of each demo, in order: the four indices that track organization, and the stripe trade-off.
+_ORGANIZATION_METRICS = {
+    "topographic_error": topographic_error,
+    "combined_error": combined_error,
+    "kruskal_shepard_error": kruskal_shepard_error,
+    "c_measure": c_measure,
+}
+_STRIPE_METRICS = {
+    "quantization_error": quantization_error,
+    "topographic_error": topographic_error,
+    "combined_error": combined_error,
+}
+
+
+def _score_maps(outdir: Path, prefix: str, first_column: str, maps: dict[str, CodeBook],
+                data: Dataset, metrics: dict) -> dict:
+    """Score and draw each map in order, then tabulate the scores as ``<prefix>_metrics.csv``."""
+    scores: dict[str, dict[str, float]] = {}
+    files = []
+    for name, codebook in maps.items():
+        scores[name] = {metric: fn(codebook, data) for metric, fn in metrics.items()}
+        svg_path = outdir / f"{prefix}_{name}.svg"
+        svg_path.write_text(render_map_svg(codebook, data))
+        files.append(svg_path)
+    table = outdir / f"{prefix}_metrics.csv"
+    _write_table(table, [first_column, *metrics],
+                 [[name, *map(repr, row.values())] for name, row in scores.items()])
+    files.append(table)
+    return {"metrics": scores, "files": [str(p) for p in files]}
 
 
 def square_demo(outdir, seed: int = 0) -> dict:
@@ -70,29 +98,7 @@ def square_demo(outdir, seed: int = 0) -> dict:
     disordered = CodeBook(ordered.prototypes[perm].copy(), ordered.grid)
 
     maps = {"ordered": ordered, "medium": medium, "disordered": disordered}
-    metrics: dict[str, dict[str, float]] = {}
-    files = []
-    for name, codebook in maps.items():
-        metrics[name] = {
-            "topographic_error": topographic_error(codebook, data),
-            "combined_error": combined_error(codebook, data),
-            "kruskal_shepard_error": kruskal_shepard_error(codebook, data),
-            "c_measure": c_measure(codebook, data),
-        }
-        svg_path = outdir / f"square_{name}.svg"
-        svg_path.write_text(render_map_svg(codebook, data))
-        files.append(svg_path)
-
-    table = outdir / "square_metrics.csv"
-    _write_table(
-        table,
-        ["map", "topographic_error", "combined_error", "kruskal_shepard_error", "c_measure"],
-        [[name, *(repr(metrics[name][m]) for m in
-                  ("topographic_error", "combined_error", "kruskal_shepard_error", "c_measure"))]
-         for name in maps],
-    )
-    files.append(table)
-    return {"metrics": metrics, "files": [str(p) for p in files]}
+    return _score_maps(outdir, "square", "map", maps, data, _ORGANIZATION_METRICS)
 
 
 def tf1d_demo(outdir, seed: int = 0, length: int = 20) -> dict:
@@ -110,14 +116,9 @@ def tf1d_demo(outdir, seed: int = 0, length: int = 20) -> dict:
     tf = topographic_function(codebook, data, k_max=length + 5)
 
     table = outdir / "tf1d_series.csv"
-    rows = []
-    for i in range(len(tf.k)):
-        rows.append([
-            int(tf.k[i]),
-            int(tf.tf[i]),
-            repr(float(tf.normalized_k[i])),
-            repr(float(tf.normalized_tf[i])) if tf.normalized_tf is not None else "",
-        ])
+    rows = [[int(tf.k[i]), int(tf.tf[i]), repr(float(tf.normalized_k[i])),
+             repr(float(tf.normalized_tf[i])) if tf.normalized_tf is not None else ""]
+            for i in range(len(tf.k))]
     _write_table(table, ["k", "tf", "normalized_k", "normalized_tf"], rows)
     svg_path = outdir / "tf1d_map.svg"
     svg_path.write_text(render_map_svg(codebook, data))
@@ -165,38 +166,15 @@ def stripe_demo(outdir, seed: int = 0) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     data = Dataset(rng.random((2000, 2)) * np.array([10.0, 2.0]))
+    return _score_maps(outdir, "stripe", "solution", _stripe_codebooks(), data, _STRIPE_METRICS)
 
-    codebooks = _stripe_codebooks()
-    metrics: dict[str, dict[str, float]] = {}
-    files = []
-    for name, codebook in codebooks.items():
-        metrics[name] = {
-            "quantization_error": quantization_error(codebook, data),
-            "topographic_error": topographic_error(codebook, data),
-            "combined_error": combined_error(codebook, data),
-        }
-        svg_path = outdir / f"stripe_{name}.svg"
-        svg_path.write_text(render_map_svg(codebook, data))
-        files.append(svg_path)
 
-    table = outdir / "stripe_metrics.csv"
-    _write_table(
-        table,
-        ["solution", "quantization_error", "topographic_error", "combined_error"],
-        [[name, *(repr(metrics[name][m]) for m in
-                  ("quantization_error", "topographic_error", "combined_error"))]
-         for name in codebooks],
-    )
-    files.append(table)
-    return {"metrics": metrics, "files": [str(p) for p in files]}
+_EXPERIMENTS = {"square": square_demo, "tf1d": tf1d_demo, "stripe": stripe_demo}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_demo(experiment: str, outdir, seed: int = 0) -> dict:
     """Dispatch one of the named experiments into ``outdir``."""
-    if experiment == "square":
-        return square_demo(outdir, seed)
-    if experiment == "tf1d":
-        return tf1d_demo(outdir, seed)
-    if experiment == "stripe":
-        return stripe_demo(outdir, seed)
-    raise ValueError(f"unknown experiment {experiment!r}; valid: {', '.join(EXPERIMENTS)}")
+    if experiment not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}; valid: {', '.join(EXPERIMENTS)}")
+    return _EXPERIMENTS[experiment](outdir, seed)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from .grid import distance_matrix
@@ -44,16 +43,14 @@ def purity(assignments, labels) -> float:
 def clustering_accuracy(assignments, labels) -> float:
     """Accuracy under the best one-to-one mapping between cluster and class ids.
 
-    Solved exactly as an optimal assignment on the contingency table, which is
-    zero-padded to square when the id counts differ.
+    Solved exactly as an optimal assignment on the contingency table; when
+    the id counts differ, the surplus clusters or classes stay unmatched.
     """
+    from scipy.optimize import linear_sum_assignment  # here, so that the CLI starts without scipy.optimize
+
     counts = contingency_table(assignments, labels)
-    k, c = counts.shape
-    side = max(k, c)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[:k, :c] = counts
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return float(padded[rows, cols].sum() / counts.sum())
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    return float(counts[rows, cols].sum() / counts.sum())
 
 
 def _component_count(grid, marked: np.ndarray) -> int:

@@ -79,7 +79,13 @@ def combined_error(codebook: CodeBook, data: Dataset) -> float:
     sources, row = np.unique(proj.bmu, return_inverse=True)
     costs = _map_path_costs(codebook, sources)
     first = _paired_squared_distances(data.samples, np.arange(data.n_samples), codebook.prototypes, proj.bmu)
-    return float((first + costs[row, proj.second_bmu]).mean())
+    path = costs[row, proj.second_bmu]
+    with _overflow_is_an_error():
+        # dijkstra overflows to inf without a floating-point error; the lattice
+        # is connected, so an infinite path cost can only be such an overflow
+        if np.isinf(path).any():
+            raise FloatingPointError
+        return float((first + path).mean())
 
 
 def _pair_blocks(codebook: CodeBook, data: Dataset, bmus: np.ndarray):

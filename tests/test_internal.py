@@ -533,3 +533,23 @@ def test_ce_path_weight_overflow_is_an_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow float64"):
             combined_error(cb, data)
+
+
+def test_ce_bmu_term_plus_path_overflow_is_an_error():
+    # the BMU term (0.36e308) and the path cost (1.69e308) are finite, their sum is not
+    cb = CodeBook(np.array([[0.0, 0.0], [1.3e154, 0.0]]), MapGrid(1, 2))
+    data = Dataset(np.array([[0.6e154, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            combined_error(cb, data)
+
+
+def test_ce_path_cost_overflow_inside_dijkstra_is_an_error():
+    # both edge weights (1.44e308 and 1.44e308 + 1) are finite, the path 0 -> 1 -> 2 is not
+    cb = CodeBook(np.array([[0.0, 0.0], [1.2e154, 0.0], [0.0, 1.0]]), MapGrid(1, 3))
+    data = Dataset(np.array([[0.0, 0.4]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            combined_error(cb, data)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import sommetrics as sm
 from sommetrics.cli import main
 from sommetrics.dataio import load_labels, load_matrix, save_matrix
+from sommetrics.demos import run_demo
 from sommetrics.errors import InputError
 from sommetrics.figures import render_map_svg
 from sommetrics.report import EvaluationConfig, evaluate
@@ -488,6 +489,22 @@ def test_cli_demo_tf1d_series(runner, tmp_path):
     ks = [int(r[0]) for r in rows]
     assert ks == list(range(1, 26))
 
+
+def test_run_demo_unknown_experiment_names_the_valid_ones(tmp_path):
+    with pytest.raises(ValueError, match="unknown experiment 'nope'; valid: square, tf1d, stripe"):
+        run_demo("nope", tmp_path / "x")
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # a fresh interpreter: `train` and `--help` need no assignment solver
+    src = str(Path(sm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, sommetrics.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 # ---------------------------------------------------------------------------
 # SVG rendering
