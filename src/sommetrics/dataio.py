@@ -14,52 +14,41 @@ import numpy as np
 from .errors import InputError
 
 
-def load_matrix(path) -> np.ndarray:
-    """Parse a comma-separated numeric matrix; raises InputError naming file and line."""
-    path = Path(path)
+def _data_lines(path: Path, what: str):
+    """(line number, stripped text) of each nonblank line; raises InputError naming the file."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    if not text or text.isspace():  # every line is blank once stripped
+        raise InputError(f"{path}: file holds no {what}")
+    return ((n, s) for n, line in enumerate(text.splitlines(), start=1) if (s := line.strip()))
+
+
+def load_matrix(path) -> np.ndarray:
+    """Parse a comma-separated numeric matrix; raises InputError naming file and line."""
+    path = Path(path)
     rows: list[list[float]] = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
+    for lineno, line in _data_lines(path, "data rows"):
         try:
-            row = [float(f) for f in fields]
+            row = [float(f) for f in line.split(",")]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: not a numeric row: {line!r}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InputError(f"{path}:{lineno}: expected {width} columns, found {len(row)}")
+        if rows and len(row) != len(rows[0]):
+            raise InputError(f"{path}:{lineno}: expected {len(rows[0])} columns, found {len(row)}")
         rows.append(row)
-    if not rows:
-        raise InputError(f"{path}: file holds no data rows")
     return np.asarray(rows, dtype=float)
 
 
 def load_labels(path) -> np.ndarray:
     """Parse one integer class id per line; raises InputError naming file and line."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
     labels = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(path, "labels"):
         try:
             labels.append(int(line))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
-    if not labels:
-        raise InputError(f"{path}: file holds no labels")
     return np.asarray(labels, dtype=np.int64)
 
 

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 
 from .grid import distance_matrix
 from .model import CodeBook, Dataset, project
@@ -43,13 +44,14 @@ def purity(assignments, labels) -> float:
 def clustering_accuracy(assignments, labels) -> float:
     """Accuracy under the best one-to-one mapping between cluster and class ids.
 
-    Solved exactly as an optimal assignment on the contingency table; when
-    the id counts differ, the surplus clusters or classes stay unmatched.
+    Solved exactly as a maximum-weight full matching on the contingency
+    table; when the id counts differ, the surplus clusters or classes stay
+    unmatched. Every count is shifted by 1 so that each (cluster, class) pair
+    is an edge; every full matching has min(K, C) edges, so the shift adds the
+    same amount to each and leaves the optimum unchanged.
     """
-    from scipy.optimize import linear_sum_assignment  # here, so that the CLI starts without scipy.optimize
-
     counts = contingency_table(assignments, labels)
-    rows, cols = linear_sum_assignment(counts, maximize=True)
+    rows, cols = min_weight_full_bipartite_matching(csr_array(counts + 1.0), maximize=True)
     return float(counts[rows, cols].sum() / counts.sum())
 
 

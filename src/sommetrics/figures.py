@@ -11,30 +11,31 @@ from .grid import adjacency_pairs
 from .model import CodeBook, Dataset
 
 
-def render_map_svg(codebook: CodeBook, data: Dataset | None = None, *,
-                   size: int = 480, margin: float = 0.05) -> str:
+_SIZE = 480  # pixels along the longer side
+_MARGIN = 0.05  # fraction of the bounding box added around the content
+
+
+def _first_two_columns(matrix: np.ndarray) -> np.ndarray:
+    """The first two columns of ``matrix``; a 1-column matrix gets a zero second column."""
+    return np.column_stack([matrix[:, :2], np.zeros((len(matrix), max(0, 2 - matrix.shape[1])))])
+
+
+def render_map_svg(codebook: CodeBook, data: Dataset) -> str:
     """SVG text showing data points and the codebook lattice in input space.
 
-    Only the first two feature dimensions are drawn. ``margin`` is the
-    fraction of the bounding box added around the content.
+    Only the first two feature dimensions are drawn.
     """
-    protos = codebook.prototypes[:, :2]
-    if protos.shape[1] < 2:
-        protos = np.column_stack([protos[:, 0], np.zeros(len(protos))])
-    points = None
-    if data is not None:
-        points = data.samples[:, :2]
-        if points.shape[1] < 2:
-            points = np.column_stack([points[:, 0], np.zeros(len(points))])
+    protos = _first_two_columns(codebook.prototypes)
+    points = _first_two_columns(data.samples)
 
-    stack = protos if points is None else np.vstack([protos, points])
+    stack = np.vstack([protos, points])
     lo = stack.min(axis=0)
     hi = stack.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    pad = margin * span.max()
+    pad = _MARGIN * span.max()
     lo, hi = lo - pad, hi + pad
     span = hi - lo
-    scale = size / span.max()
+    scale = _SIZE / span.max()
     width = span[0] * scale
     height = span[1] * scale
 
@@ -49,11 +50,10 @@ def render_map_svg(codebook: CodeBook, data: Dataset | None = None, *,
         f'viewBox="0 0 {width:.2f} {height:.2f}">',
         f'<rect width="{width:.2f}" height="{height:.2f}" fill="#ffffff"/>',
     ]
-    if points is not None:
-        parts.append('<g fill="#8a8a8a" fill-opacity="0.35" stroke="none">')
-        for x, y in points:
-            parts.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="1.6"/>')
-        parts.append("</g>")
+    parts.append('<g fill="#8a8a8a" fill-opacity="0.35" stroke="none">')
+    for x, y in points:
+        parts.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="1.6"/>')
+    parts.append("</g>")
     parts.append('<g stroke="#d62728" stroke-width="1.4" fill="none" stroke-linecap="round">')
     for a, b in adjacency_pairs(codebook.grid):
         xa, ya = protos[a]

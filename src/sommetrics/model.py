@@ -14,6 +14,16 @@ import numpy as np
 from .grid import GAUSSIAN, MapGrid, NeighborhoodKernel, _weights_by_distance, distance_matrix
 
 
+def _finite_matrix(values, name: str) -> np.ndarray:
+    """``values`` as a float matrix; raises ``ValueError`` unless nonempty, 2-D and finite."""
+    matrix = np.atleast_2d(np.asarray(values, dtype=float))
+    if matrix.ndim != 2 or matrix.shape[0] < 1:
+        raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{name} contain non-finite values")
+    return matrix
+
+
 @dataclass
 class Dataset:
     """N x D sample matrix with optional integer class labels."""
@@ -22,11 +32,7 @@ class Dataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        if self.samples.ndim != 2 or self.samples.shape[0] < 1:
-            raise ValueError(f"samples must be a nonempty 2-D matrix, got shape {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples contain non-finite values")
+        self.samples = _finite_matrix(self.samples, "samples")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if not np.issubdtype(self.labels.dtype, np.integer):
@@ -60,14 +66,12 @@ class CodeBook:
     grid: MapGrid
 
     def __post_init__(self) -> None:
-        self.prototypes = np.atleast_2d(np.asarray(self.prototypes, dtype=float))
+        self.prototypes = _finite_matrix(self.prototypes, "prototypes")
         if self.prototypes.shape[0] != self.grid.n_units:
             raise ValueError(
                 f"codebook has {self.prototypes.shape[0]} rows but grid "
                 f"{self.grid.rows}x{self.grid.cols} has {self.grid.n_units} units"
             )
-        if not np.all(np.isfinite(self.prototypes)):
-            raise ValueError("prototypes contain non-finite values")
 
     @property
     def n_units(self) -> int:

@@ -74,7 +74,6 @@ def test_accuracy_invariant_under_id_permutation():
 
 
 def test_accuracy_rectangular_table_padded():
-    # 3 clusters vs 2 classes: the extra cluster pairs with a padded class
     assignments = np.array([0, 0, 1, 1, 2, 2])
     labels = np.array([0, 0, 1, 1, 1, 1])
     assert clustering_accuracy(assignments, labels) == pytest.approx(4 / 6)

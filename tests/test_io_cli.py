@@ -497,10 +497,12 @@ def test_run_demo_unknown_experiment_names_the_valid_ones(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # a fresh interpreter: `train` and `--help` need no assignment solver
+    # a fresh interpreter: the CLI and the accuracy matching load no scipy.optimize
     src = str(Path(sm.__file__).resolve().parents[1])
+    code = ("import sys, sommetrics, sommetrics.cli; sommetrics.clustering_accuracy([0, 0, 1], [1, 1, 0]); "
+            "print('scipy.optimize' in sys.modules)")
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, sommetrics.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -359,3 +359,5 @@ def test_dataset_label_validation():
 def test_codebook_row_count_checked():
     with pytest.raises(ValueError, match="4 rows"):
         CodeBook(np.zeros((4, 2)), MapGrid(1, 3))
+    with pytest.raises(ValueError, match="2-D matrix"):
+        CodeBook(np.zeros((2, 2, 2)), MapGrid(1, 2))
