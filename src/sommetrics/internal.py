@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .grid import GAUSSIAN, NeighborhoodKernel, _weights_by_distance, adjacency_pairs, distance_matrix
 from .model import (_BLOCK, CodeBook, Dataset, _check_dims, _overflow_is_an_error, _paired_squared_distances,
-                    bmu_distances, project, receptive_field_connectivity, squared_distances)
+                    _shared, bmu_distances, project, receptive_field_connectivity, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -161,7 +161,7 @@ def trustworthiness(codebook: CodeBook, data: Dataset, k: int) -> float:
     Penalizes samples that enter a projected k-neighborhood without belonging
     to the input-space one.
     """
-    return _np_trust_scores(codebook, data, k)[1]
+    return _shared(codebook, data, ("np_trust", k), lambda: _np_trust_scores(codebook, data, k))[1]
 
 
 def neighborhood_preservation(codebook: CodeBook, data: Dataset, k: int) -> float:
@@ -170,7 +170,7 @@ def neighborhood_preservation(codebook: CodeBook, data: Dataset, k: int) -> floa
     Penalizes input-space neighbors that fall outside the projected
     neighbor set; the space-swapped counterpart of :func:`trustworthiness`.
     """
-    return _np_trust_scores(codebook, data, k)[0]
+    return _shared(codebook, data, ("np_trust", k), lambda: _np_trust_scores(codebook, data, k))[0]
 
 
 def topographic_product(codebook: CodeBook) -> float:

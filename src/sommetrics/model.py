@@ -7,6 +7,7 @@ from ``t_max`` to ``t_min``, and keeps the learning rate constant.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,9 +16,9 @@ from .grid import GAUSSIAN, MapGrid, NeighborhoodKernel, _weights_by_distance, d
 
 
 def _finite_matrix(values, name: str) -> np.ndarray:
-    """``values`` as a float matrix; raises ``ValueError`` unless nonempty, 2-D and finite."""
+    """``values`` as a float matrix; raises ``ValueError`` unless 2-D, at least 1x1, and finite."""
     matrix = np.atleast_2d(np.asarray(values, dtype=float))
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
+    if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{name} contain non-finite values")
@@ -187,8 +188,6 @@ def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """
     n, m, d = len(x), len(prototypes), x.shape[1]
     out = np.zeros((n, m))
-    if d == 0:  # no coordinates: every distance is 0
-        return out
     cols = max(1, min(m, _CHUNK))
     rows = _CHUNK // cols
     xt, pt = np.ascontiguousarray(x.T), np.ascontiguousarray(prototypes.T)
@@ -210,14 +209,47 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
     """
     d = x.shape[1]
     out = np.zeros(len(rows))
-    if d == 0:  # no coordinates: every distance is 0
-        return out
     with _overflow_is_an_error():
         for s in range(0, len(rows), _CHUNK):
             r, u = rows[s:s + _CHUNK], units[s:s + _CHUNK]
             out[s:s + _CHUNK] = _pairwise_sum(
                 lambda j, buf=None: _squared(np.subtract(x[r, j], prototypes[u, j], out=buf)), 0, d)
     return out
+
+
+# (codebook, data, results) of the evaluation that is running, or None
+_SCOPE: ContextVar[tuple[CodeBook, Dataset, dict] | None] = ContextVar("sommetrics_shared_results", default=None)
+
+
+@contextmanager
+def _shared_results(codebook: CodeBook, data: Dataset):
+    """Within the block, ``_shared`` keeps each result computed on these two objects."""
+    token = _SCOPE.set((codebook, data, {}))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _scope_results(codebook: CodeBook, data: Dataset) -> dict | None:
+    """The results of the running scope when it is over these very objects, else None."""
+    scope = _SCOPE.get()
+    if scope is None or scope[0] is not codebook or scope[1] is not data:
+        return None
+    return scope[2]
+
+
+def _shared(codebook: CodeBook, data: Dataset, key, compute):
+    """``compute()``, computed once per ``key`` inside a scope over ``codebook`` and ``data``.
+
+    Only results are kept: a ``compute`` that raises runs again on the next call.
+    """
+    results = _scope_results(codebook, data)
+    if results is None:
+        return compute()
+    if key not in results:
+        results[key] = compute()
+    return results[key]
 
 
 def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionIndex:
@@ -230,11 +262,26 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     within a rounding bound of the ``depth``-th smallest is recomputed exactly.
     The bound holds for any summation order and with fused multiply-add, so
     neither the BLAS library nor its thread count can change the ranks.
+
+    Within an evaluation, the first call ranks at least two units and later
+    calls up to that depth read its leading columns: the ranking is exact, so
+    they are the ranks a shallower call would compute.
     """
     _check_dims(codebook, data)
     K = codebook.n_units
     if not 1 <= depth <= K:
         raise ValueError(f"depth must be in 1..{K}, got {depth}")
+    if _scope_results(codebook, data) is None:
+        return ProjectionIndex(_rank_units(codebook, data, depth))
+    ranks = _shared(codebook, data, "ranks", lambda: _rank_units(codebook, data, max(depth, min(2, K))))
+    ranks.flags.writeable = False  # every metric of the evaluation gets a view of this one array
+    if ranks.shape[1] < depth:
+        ranks = _rank_units(codebook, data, depth)
+    return ProjectionIndex(ranks[:, :depth])
+
+
+def _rank_units(codebook: CodeBook, data: Dataset, depth: int) -> np.ndarray:
+    """(N, depth) unit ranks of ``project``, for valid operands and depth."""
     protos = codebook.prototypes
     n, d = data.samples.shape
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
@@ -267,7 +314,7 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
         ranked = units[np.lexsort((units, exact, rows))]
         counts = keep.sum(axis=1)
         ranks[start:start + len(x)] = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
-    return ProjectionIndex(ranks)
+    return ranks
 
 
 def bmu_distances(codebook: CodeBook, data: Dataset, bmus: np.ndarray) -> np.ndarray:

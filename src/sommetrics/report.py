@@ -5,7 +5,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -15,7 +14,7 @@ from .dataio import content_hash, load_labels, load_matrix
 from .errors import ConfigError, InputError
 from .grid import KERNEL_KINDS, TOPOLOGIES, MapGrid, NeighborhoodKernel
 from .internal import TopographicFunction
-from .model import CodeBook, Dataset, project
+from .model import CodeBook, Dataset, _shared_results, project
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,6 @@ class EvaluationContext:
     k: int | None
     temperature: float | None
     kernel: NeighborhoodKernel
-
-    @cached_property
-    def _bmus(self) -> np.ndarray:
-        """Depth-1 projection shared by the label metrics of one evaluation."""
-        return project(self.codebook, self.data, depth=1).bmu
 
 
 REGISTRY: dict[str, MetricSpec] = {
@@ -59,10 +53,12 @@ REGISTRY: dict[str, MetricSpec] = {
     "kruskal_shepard_error": MetricSpec(lambda c: internal.kruskal_shepard_error(c.codebook, c.data)),
     "c_measure": MetricSpec(lambda c: internal.c_measure(c.codebook, c.data)),
     "purity": MetricSpec(
-        lambda c: external.purity(c._bmus, c.data.labels), needs_labels=True
+        lambda c: external.purity(project(c.codebook, c.data, depth=1).bmu, c.data.labels),
+        needs_labels=True,
     ),
     "clustering_accuracy": MetricSpec(
-        lambda c: external.clustering_accuracy(c._bmus, c.data.labels), needs_labels=True
+        lambda c: external.clustering_accuracy(project(c.codebook, c.data, depth=1).bmu, c.data.labels),
+        needs_labels=True,
     ),
     "class_scatter_index": MetricSpec(
         lambda c: external.class_scatter_index(c.codebook, c.data), needs_labels=True
@@ -209,15 +205,16 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
                             NeighborhoodKernel(config.kernel))
     results: dict[str, Any] = {}
     failed: list[str] = []
-    for name in config.metrics:
-        try:
-            value = REGISTRY[name].compute(ctx)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"non-finite result {value!r}")
-            results[name] = value
-        except Exception as exc:  # one bad metric must not sink the others
-            results[name] = {"error": f"{type(exc).__name__}: {exc}"}
-            failed.append(name)
+    with _shared_results(codebook, data):  # one projection and one trust/NP scan for all metrics
+        for name in config.metrics:
+            try:
+                value = REGISTRY[name].compute(ctx)
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise ValueError(f"non-finite result {value!r}")
+                results[name] = value
+            except Exception as exc:  # one bad metric must not sink the others
+                results[name] = {"error": f"{type(exc).__name__}: {exc}"}
+                failed.append(name)
 
     params = {
         "rows": config.rows,

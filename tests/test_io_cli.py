@@ -134,19 +134,101 @@ def test_evaluate_partial_failure_keeps_other_metrics(fixture_files):
 def test_evaluate_projects_once_for_label_metrics(fixture_files, monkeypatch):
     codebook_path, data_path, labels_path, _, _, _ = fixture_files
     calls = []
+    rank_units = sm.model._rank_units
 
-    def counting_project(*args, **kwargs):
-        calls.append(kwargs)
-        return sm.project(*args, **kwargs)
+    def counting_rank_units(*args):
+        calls.append(args[2])
+        return rank_units(*args)
 
-    monkeypatch.setattr("sommetrics.report.project", counting_project)
+    monkeypatch.setattr(sm.model, "_rank_units", counting_rank_units)
     config = EvaluationConfig(
         codebook_path=str(codebook_path), data_path=str(data_path), labels_path=str(labels_path),
-        rows=3, cols=3, metrics=("purity", "clustering_accuracy"),
+        rows=3, cols=3, temperature=0.5,
+        metrics=("quantization_error", "distortion", "topographic_error", "combined_error",
+                 "topographic_product", "topographic_function", "purity", "clustering_accuracy",
+                 "class_scatter_index"),
     )
     report = evaluate(config)
     assert not report.failed
     assert len(calls) == 1
+
+    # with all metrics: still one projection, and one trust/NP scan for both scores
+    scans = []
+    np_trust_scores = sm.internal._np_trust_scores
+
+    def counting_scans(*args):
+        scans.append(args[2])
+        return np_trust_scores(*args)
+
+    monkeypatch.setattr(sm.internal, "_np_trust_scores", counting_scans)
+    calls.clear()
+    config.metrics, config.k = sm.METRIC_NAMES, 2
+    report = evaluate(config)
+    assert not report.failed
+    assert len(calls) == 1
+    assert scans == [2]
+
+
+def test_evaluate_all_metrics_equal_direct_calls_on_ties(tmp_path):
+    # prototypes on an integer lattice and samples on a half-integer one:
+    # many samples lie exactly between two or four units; a 4x3 map has a
+    # normalized topographic function
+    rng = np.random.default_rng(3)
+    protos = np.array([[r, c] for r in range(4) for c in range(3)], dtype=float)
+    samples = np.column_stack([rng.integers(0, 7, 40), rng.integers(0, 5, 40)]) / 2.0
+    labels = rng.integers(0, 3, 40)
+    paths = [tmp_path / name for name in ("codebook.csv", "data.csv", "labels.txt")]
+    save_matrix(paths[0], protos)
+    save_matrix(paths[1], samples)
+    paths[2].write_text("\n".join(map(str, labels)) + "\n")
+    config = EvaluationConfig(codebook_path=str(paths[0]), data_path=str(paths[1]), labels_path=str(paths[2]),
+                              rows=4, cols=3, metrics=sm.METRIC_NAMES, k=3, temperature=0.5)
+    report = evaluate(config)
+    assert not report.failed
+    assert sm.model._SCOPE.get() is None
+
+    def fresh():
+        return sm.CodeBook(protos.copy(), sm.MapGrid(4, 3)), sm.Dataset(samples.copy(), labels.copy())
+
+    expected = {
+        "quantization_error": sm.quantization_error(*fresh()),
+        "distortion": sm.distortion(*fresh(), 0.5),
+        "topographic_error": sm.topographic_error(*fresh()),
+        "combined_error": sm.combined_error(*fresh()),
+        "trustworthiness": sm.trustworthiness(*fresh(), 3),
+        "neighborhood_preservation": sm.neighborhood_preservation(*fresh(), 3),
+        "topographic_product": sm.topographic_product(fresh()[0]),
+        "kruskal_shepard_error": sm.kruskal_shepard_error(*fresh()),
+        "c_measure": sm.c_measure(*fresh()),
+        "purity": sm.purity(sm.project(*fresh(), depth=1).bmu, labels),
+        "clustering_accuracy": sm.clustering_accuracy(sm.project(*fresh(), depth=1).bmu, labels),
+        "class_scatter_index": sm.class_scatter_index(*fresh()),
+    }
+    for name, value in expected.items():
+        assert report.metrics[name] == value, name  # bit for bit
+    tf, direct = report.metrics["topographic_function"], sm.topographic_function(*fresh())
+    assert tf.normalized_tf is not None
+    for series in ("k", "tf", "normalized_k", "normalized_tf"):
+        assert np.array_equal(getattr(tf, series), getattr(direct, series)), series
+
+    # the scope ends with the evaluation, also when a metric raised
+    config.metrics, config.k = ("trustworthiness", "quantization_error"), 30
+    report = evaluate(config)
+    assert report.failed == ["trustworthiness"]
+    assert sm.model._SCOPE.get() is None
+    cb, data = fresh()
+    with pytest.raises(RuntimeError):
+        with sm.model._shared_results(cb, data):
+            raise RuntimeError
+    assert sm.model._SCOPE.get() is None
+
+    # inside a scope, another Dataset object is projected on its own
+    other = sm.Dataset(samples[::-1].copy())
+    alone = sm.project(cb, other).bmu_ranks
+    with sm.model._shared_results(cb, data):
+        shared = sm.project(cb, data).bmu_ranks
+        assert np.array_equal(sm.project(cb, other).bmu_ranks, alone)
+    assert not np.array_equal(shared, alone)
 
 
 def test_evaluate_json_round_trip_preserves_floats(fixture_files):

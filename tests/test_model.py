@@ -188,6 +188,32 @@ def test_distance_kernel_matches_numpy_sum(d, shape, chunk, seed):
                               ((a[rows] - p[units]) ** 2).sum(-1))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    duplicates=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-6, 1e6]),
+    offset=st.sampled_from([0.0, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_project_depth_one_is_first_column_of_depth_two(duplicates, scale, offset, seed):
+    # integer-lattice samples and prototypes tie often; an evaluation serves
+    # depth-1 calls from the first column of its depth-2 ranks
+    rng = np.random.default_rng(seed)
+    grid = MapGrid(int(rng.integers(1, 5)), int(rng.integers(2, 5)))
+    K, d, n = grid.n_units, int(rng.integers(1, 5)), int(rng.integers(1, 60))
+    lattice = rng.integers(-2, 3, (K, d))
+    if duplicates:
+        lattice = lattice[rng.integers(0, max(1, K // 2), K)]
+    protos = offset + scale * lattice.astype(float)
+    samples = offset + scale * rng.integers(-3, 4, (n, d)).astype(float)
+    cb, data = CodeBook(protos, grid), Dataset(samples)
+    bmu = project(cb, data, depth=1).bmu
+    assert np.array_equal(bmu, project(cb, data, depth=2).bmu)
+    assert bmu.tolist() == [ranks[0] for ranks in project_bruteforce(samples, protos, 1)]
+    with model._shared_results(cb, data):
+        assert np.array_equal(project(cb, data, depth=1).bmu, bmu)
+
+
 def test_project_depth_k_memory_is_bounded():
     # 30x30, D=16: two gathered (B*K) x D copies alone would be 61 MiB.
     # 10x10, D=1, N=20000: the ranks are 15 MiB; index arrays for blocks
@@ -354,6 +380,13 @@ def test_dataset_label_validation():
         Dataset(np.zeros((2, 1)), labels=np.array([-1, 0]))
     ds = Dataset(np.zeros((3, 1)), labels=np.array([0, 2, 1]))
     assert ds.n_classes == 3
+
+
+def test_zero_column_matrices_rejected():
+    with pytest.raises(ValueError, match=r"^samples must be a nonempty 2-D matrix, got shape \(5, 0\)$"):
+        Dataset(np.zeros((5, 0)))
+    with pytest.raises(ValueError, match=r"^prototypes must be a nonempty 2-D matrix, got shape \(4, 0\)$"):
+        CodeBook(np.zeros((4, 0)), MapGrid(2, 2))
 
 
 def test_codebook_row_count_checked():
