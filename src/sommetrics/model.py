@@ -126,38 +126,41 @@ def _overflow_is_an_error():
             raise ValueError("squared distances overflow float64; rescale the data and prototypes") from None
 
 
-_CHUNK = 65_536  # elements per temporary of the distance kernel; a constant, so bits never depend on the machine
+# Elements per stacked slab of the distance kernel (see _pairwise_sum for how
+# many are live) and sample indices per draw of the trainer; a constant, so
+# bits never depend on the machine.
+_CHUNK = 65_536
 _BLOCK = 256  # rows per block of every scan (projection, pair scans, distortion, topographic product)
 
 
-def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
-    """``term(lo) + ... + term(hi - 1)``, added in the order of numpy's pairwise summation.
+def _pairwise_sum(terms, lo: int, hi: int) -> np.ndarray:
+    """Sum of coordinate terms ``lo..hi-1``, added in the order of numpy's pairwise summation.
 
     That is the order in which ``arr.sum(axis=-1)`` adds a contiguous last
-    axis, so summing coordinate terms one at a time gives the bits of
+    axis, so summing stacked coordinate terms gives the bits of
     ``((a - b) ** 2).sum(axis=-1)`` without its (..., D) temporary. Fewer than
-    8 terms are added in order; up to 128 go to 8 interleaved partial sums,
-    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in
-    order; longer runs split at half their length rounded down to a multiple
-    of 8. ``term(j, out)`` fills ``out``, or a new array when ``out`` is None;
-    at most 9 arrays are live per level.
+    8 terms are added in order; up to 128 go to 8 partial sums, one 8-term
+    slab at a time, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then
+    the rest in order; longer runs split at half their length rounded down to
+    a multiple of 8. ``terms(i, j)`` returns a new ``(j - i, ...)`` array of
+    terms ``i..j-1``, which this function overwrites. Two slabs of at most 8
+    terms are live at once, the partial sums and the next slab, plus the first
+    half's sum for each level of splitting.
     """
     n = hi - lo
     if n > 128:
         half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(term, lo, lo + half)
-        total += _pairwise_sum(term, lo + half, hi)
+        total = _pairwise_sum(terms, lo, lo + half)
+        total += _pairwise_sum(terms, lo + half, hi)
         return total
-    buf = None
     if n < 8:
-        total, rest = term(lo), range(lo + 1, hi)
+        slab = terms(lo, hi)
+        total, rest = slab[0], slab[1:]
     else:
-        r = [term(lo + m) for m in range(8)]
+        r = terms(lo, lo + 8)
         end = hi - n % 8
         for i in range(lo + 8, end, 8):
-            for m in range(8):
-                buf = term(i + m, buf)
-                r[m] += buf
+            r += terms(i, i + 8)
         r[0] += r[1]
         r[2] += r[3]
         r[0] += r[2]
@@ -165,10 +168,9 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
         r[6] += r[7]
         r[4] += r[6]
         r[0] += r[4]
-        total, rest = r[0], range(end, hi)
-    for j in rest:
-        buf = term(j, buf)
-        total += buf
+        total, rest = r[0], (terms(end, hi) if end < hi else ())
+    for term in rest:
+        total += term
     return total
 
 
@@ -182,14 +184,15 @@ def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     Computed from explicit differences (not the expanded dot-product form) so
     that exact ties in the inputs stay exact ties in the output, and bit for
     bit equal to ``((x[:, None] - prototypes[None]) ** 2).sum(-1)``, in chunks
-    of at most ``_CHUNK`` output elements. Raises ``ValueError`` when a
-    distance overflows float64 (|values| above about 1e154), because an
+    of at most ``_CHUNK // min(D, 8)`` output elements. Raises ``ValueError``
+    when a distance overflows float64 (|values| above about 1e154), because an
     infinite distance would make ties and ratios meaningless.
     """
     n, m, d = len(x), len(prototypes), x.shape[1]
     out = np.zeros((n, m))
-    cols = max(1, min(m, _CHUNK))
-    rows = _CHUNK // cols
+    size = max(1, _CHUNK // min(d, 8))  # output elements per chunk: one slab holds at most _CHUNK
+    cols = max(1, min(m, size))
+    rows = size // cols
     xt, pt = np.ascontiguousarray(x.T), np.ascontiguousarray(prototypes.T)
     with _overflow_is_an_error():
         for r0 in range(0, n, rows):
@@ -197,7 +200,7 @@ def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
             for c0 in range(0, m, cols):
                 b = pt[:, None, c0:c0 + cols]
                 out[r0:r0 + rows, c0:c0 + cols] = _pairwise_sum(
-                    lambda j, buf=None: _squared(np.subtract(a[j], b[j], out=buf)), 0, d)
+                    lambda i, j: _squared(np.subtract(a[i:j], b[i:j])), 0, d)
     return out
 
 
@@ -205,15 +208,18 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
                               units: np.ndarray) -> np.ndarray:
     """``squared_distances(x, prototypes)[rows, units]``, computing only those pairs.
 
-    Gathers one coordinate column per term, in chunks of ``_CHUNK`` pairs.
+    Gathers the coordinate columns of one slab at a time, in chunks of
+    ``_CHUNK // min(D, 8)`` pairs.
     """
     d = x.shape[1]
+    size = max(1, _CHUNK // min(d, 8))
+    xt, pt = np.ascontiguousarray(x.T), np.ascontiguousarray(prototypes.T)
     out = np.zeros(len(rows))
     with _overflow_is_an_error():
-        for s in range(0, len(rows), _CHUNK):
-            r, u = rows[s:s + _CHUNK], units[s:s + _CHUNK]
-            out[s:s + _CHUNK] = _pairwise_sum(
-                lambda j, buf=None: _squared(np.subtract(x[r, j], prototypes[u, j], out=buf)), 0, d)
+        for s in range(0, len(rows), size):
+            r, u = rows[s:s + size], units[s:s + size]
+            out[s:s + size] = _pairwise_sum(
+                lambda i, j: _squared(np.subtract(xt[i:j].take(r, axis=1), pt[i:j].take(u, axis=1))), 0, d)
     return out
 
 
@@ -370,7 +376,7 @@ class TrainerConfig:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         # the last step has the lowest temperature; train_som computes it as
-        # t_max * ratio ** 1, and its weights as kernel.weight does
+        # t_max * ratio ** 1 and weighs map distances 0..diameter at it
         grid = self.grid  # an invalid grid raises its own error, outside the t_min message
         try:
             _weights_by_distance(self.kernel, grid, self.t_max * (self.t_min / self.t_max))
@@ -390,26 +396,31 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     anneals by the same geometric factor (staying at ``alpha`` when the
     temperature is held constant); one sample is drawn uniformly per step and
     every prototype moves toward it, weighted by the neighborhood kernel
-    around the BMU. Deterministic given the seed.
+    around the BMU. The BMU is the lowest unit of least squared distance,
+    summed in the order of ``squared_distances``. Deterministic given the seed.
     """
     grid = config.grid
     rng = np.random.default_rng(config.seed)
-    codebook = init_codebook(data, grid, rng)
-    protos = codebook.prototypes
-    _check_dims(codebook, data)
+    pt = np.ascontiguousarray(init_codebook(data, grid, rng).prototypes.T)  # D x K: one row per coordinate
+    diff = np.empty_like(pt)
 
-    dmat = distance_matrix(grid).astype(float)
+    def squares(i, j):
+        return np.square(diff[i:j])
+
+    dmat = distance_matrix(grid)
+    span = np.arange(dmat.max() + 1.0)  # every map distance 0..diameter
     x = data.samples
-    n = data.n_samples
+    n, d = x.shape
     ratio = config.t_min / config.t_max
     iters = config.iterations
     with _overflow_is_an_error():
-        for step in range(1, iters + 1):
-            anneal = ratio ** (step / iters)
-            t = config.t_max * anneal
-            i = int(rng.integers(n))
-            diff = x[i] - protos
-            b = int(np.argmin((diff * diff).sum(axis=1)))
-            w = config.kernel.weight(dmat[b], t)
-            protos += (config.alpha * anneal) * w[:, None] * diff
-    return CodeBook(protos, grid)
+        for start in range(0, iters, _CHUNK):  # one draw per step, drawn a chunk at a time
+            draws = rng.integers(n, size=min(_CHUNK, iters - start)).tolist()
+            for step, i in enumerate(draws, start + 1):
+                anneal = ratio ** (step / iters)
+                t = config.t_max * anneal
+                np.subtract(x[i, :, None], pt, out=diff)
+                b = int(np.argmin(_pairwise_sum(squares, 0, d)))
+                diff *= ((config.alpha * anneal) * config.kernel.weight(span, t))[dmat[b]]
+                pt += diff
+    return CodeBook(pt.T.copy(), grid)

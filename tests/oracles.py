@@ -2,6 +2,9 @@
 
 Everything here is written from first principles with explicit loops, rank
 matrices and tie sets, deliberately sharing no code path with the library.
+The one exception is ``train_som_reference``: it keeps the trainer's original
+per-step loop and starts from the library's initial codebook and lattice
+distances, so that trained codebooks can be compared byte for byte.
 """
 from __future__ import annotations
 
@@ -10,6 +13,9 @@ import math
 from collections import deque
 
 import numpy as np
+
+from sommetrics.grid import distance_matrix
+from sommetrics.model import _check_dims, _overflow_is_an_error, init_codebook
 
 
 def bfs_distances(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
@@ -165,3 +171,32 @@ def component_count_unionfind(marked: list[int], edges: list[tuple[int, int]]) -
         if a in marked_set and b in marked_set:
             uf.union(index[a], index[b])
     return len({uf.find(i) for i in range(len(index))})
+
+
+def train_som_reference(data, config) -> np.ndarray:
+    """Trained prototypes from the trainer's original loop: a K x D codebook, one scalar draw per step.
+
+    Each step sums ``(diff * diff)`` over a K x D difference and weighs the
+    K lattice distances from the BMU with the kernel.
+    """
+    grid = config.grid
+    rng = np.random.default_rng(config.seed)
+    codebook = init_codebook(data, grid, rng)
+    protos = codebook.prototypes
+    _check_dims(codebook, data)
+
+    dmat = distance_matrix(grid).astype(float)
+    x = data.samples
+    n = data.n_samples
+    ratio = config.t_min / config.t_max
+    iters = config.iterations
+    with _overflow_is_an_error():
+        for step in range(1, iters + 1):
+            anneal = ratio ** (step / iters)
+            t = config.t_max * anneal
+            i = int(rng.integers(n))
+            diff = x[i] - protos
+            b = int(np.argmin((diff * diff).sum(axis=1)))
+            w = config.kernel.weight(dmat[b], t)
+            protos += (config.alpha * anneal) * w[:, None] * diff
+    return protos

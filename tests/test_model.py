@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sommetrics import (
+    GAUSSIAN,
     WINDOW,
     CodeBook,
     Dataset,
@@ -20,7 +21,7 @@ from sommetrics import (
 from sommetrics import model
 from sommetrics.grid import TOPOLOGIES
 
-from oracles import project_bruteforce
+from oracles import project_bruteforce, train_som_reference
 
 
 def chain_codebook(values):
@@ -188,6 +189,26 @@ def test_distance_kernel_matches_numpy_sum(d, shape, chunk, seed):
                               ((a[rows] - p[units]) ** 2).sum(-1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 300),
+    k=st.integers(1, 1000),
+    chunk=st.sampled_from([1, 7, 40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slab_sum_matches_numpy_sum(d, k, chunk, seed):
+    # stacked 8-term slabs over a D x K layout (the trainer's BMU sum) and over
+    # output chunks that split the K axis give the bits of a contiguous row sum
+    rng = np.random.default_rng(seed)
+    terms = rng.normal(size=(k, d)) ** 2 * 10.0 ** rng.integers(-3, 4, size=d)
+    columns = np.ascontiguousarray(terms.T)
+    assert np.array_equal(model._pairwise_sum(lambda i, j: columns[i:j].copy(), 0, d), terms.sum(axis=-1))
+    x, p = rng.normal(size=(1, d)), rng.normal(size=(k, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_CHUNK", chunk)
+        assert np.array_equal(model.squared_distances(x, p)[0], ((x - p) ** 2).sum(axis=-1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     duplicates=st.booleans(),
@@ -313,24 +334,54 @@ def test_train_deterministic_given_seed():
 
 def test_train_window_kernel_bmu_step_contracts():
     # T < 1 with a window kernel updates only the BMU; each such step must
-    # strictly shrink the BMU residual when 0 < alpha < 1.
-    rng = np.random.default_rng(2)
-    data = Dataset(rng.random((20, 2)))
-    protos = rng.random((4, 2))
-    grid = MapGrid(2, 2)
-    alpha = 0.5
-    for i in range(10):
-        cb = CodeBook(protos.copy(), grid)
-        x = data.samples[i % data.n_samples]
-        d2 = ((protos - x) ** 2).sum(axis=1)
-        b = int(np.argmin(d2))
-        before = float(np.linalg.norm(x - protos[b]))
-        if before == 0.0:
-            continue
-        w = WINDOW.weight(np.abs(np.arange(4) - b).astype(float), 0.5)
-        protos = protos + alpha * w[:, None] * (x - protos)
-        after = float(np.linalg.norm(x - protos[b]))
-        assert after < before
+    # strictly shrink the BMU residual when 0 < alpha < 1. The initial
+    # codebook and the drawn sample come from the seeded generator in that order.
+    data = Dataset(np.random.default_rng(2).random((20, 2)))
+    grid, alpha = MapGrid(2, 2), 0.5
+    moved = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        start = init_codebook(data, grid, rng).prototypes
+        x = data.samples[int(rng.integers(data.n_samples))]
+        b = int(np.argmin(((start - x) ** 2).sum(axis=1)))
+        config = TrainerConfig(2, 2, t_max=0.5, t_min=0.5, alpha=alpha, iterations=1, seed=seed, kernel=WINDOW)
+        trained = train_som(data, config).prototypes
+        others = np.arange(grid.n_units) != b
+        assert np.array_equal(trained[others], start[others])
+        before = float(np.linalg.norm(x - start[b]))
+        if before > 0.0:
+            moved += 1
+            assert float(np.linalg.norm(x - trained[b])) < before
+    assert moved > 0
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, WINDOW], ids=lambda kernel: kernel.kind)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("d, chunk", [(1, None), (2, None), (3, None), (9, 7), (16, None), (50, None), (250, None)])
+def test_train_matches_reference_loop(d, chunk, topology, kernel):
+    # the slab-sum BMU, the weight table and the chunked draws change no bit
+    # of the trained codebook; N = 1 and N < K resample the initial rows, and
+    # a draw chunk of 7 splits the 60 steps
+    rng = np.random.default_rng(d)
+    cases = [(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d), 4.0, n) for n in (1, 5, 40)]
+    # every cyclic shift of v lies at the same exact distance from the
+    # constant row, so the summation order alone picks the BMU among them; at
+    # T = 0.5 the window kernel moves only the BMU, and seed 6 leaves the
+    # constant row out of the initial codebook (at D = 1 every row is the same)
+    v = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, size=d)
+    tied = np.array([np.roll(v, s) for s in range(12)] + [np.full(d, v.mean())])
+    if d > 1:
+        assert not (init_codebook(Dataset(tied), MapGrid(3, 4), 6).prototypes == tied[-1]).all(axis=1).any()
+        cases.append((tied, 0.5, 6))
+    for samples, t_max, seed in cases:
+        data = Dataset(samples)
+        config = TrainerConfig(3, 4, topology, t_max=t_max, t_min=0.5, alpha=0.3, iterations=60, seed=seed,
+                               kernel=kernel)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk:
+                mp.setattr(model, "_CHUNK", chunk)
+            trained = train_som(data, config)
+        assert trained.prototypes.tobytes() == train_som_reference(data, config).tobytes()
 
 
 def test_train_square_fixture_stays_organized():
