@@ -6,6 +6,7 @@ breaks toward the lowest unit or sample index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -13,7 +14,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .grid import GAUSSIAN, NeighborhoodKernel, _weights_by_distance, adjacency_pairs, distance_matrix
 from .model import (_BLOCK, CodeBook, Dataset, _check_dims, _overflow_is_an_error, _paired_squared_distances,
-                    _shared, bmu_distances, project, receptive_field_connectivity, squared_distances)
+                    _scope_request, _shared, bmu_distances, project, receptive_field_connectivity, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -88,89 +89,219 @@ def combined_error(codebook: CodeBook, data: Dataset) -> float:
         return float((first + path).mean())
 
 
-def _pair_blocks(codebook: CodeBook, data: Dataset, bmus: np.ndarray):
-    """Yield ``(rows, d2, dmap)`` per ``_BLOCK`` rows: squared input and BMU map distances, both (B, N).
+class _PairSums(NamedTuple):
+    """Results of one sample-pair scan; None for a consumer that was off."""
 
-    The block size is a constant, so summation order and output bits never depend on the machine.
-    """
-    x = data.samples
-    dmat = distance_matrix(codebook.grid)
-    for start in range(0, data.n_samples, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        yield rows, squared_distances(x[rows], x), dmat[np.ix_(bmus[rows], bmus)]
+    np_trust: tuple[float, float] | None
+    kse: float | None
+    c: float | None
 
 
-def _np_trust_scores(codebook: CodeBook, data: Dataset, k: int) -> tuple[float, float]:
-    """(neighborhood preservation, trustworthiness) under tie-expanded projected sets.
+def _check_samples(data: Dataset, least: int) -> None:
+    if data.n_samples < least:
+        raise ValueError(f"need at least {least} samples, got {data.n_samples}")
 
-    The projected neighbor set of a sample holds every other sample whose BMU
-    map distance is within the k-th smallest (ties at the cut included, size
-    K_i >= k). Trustworthiness penalizes projected neighbors missing from the
-    exact k input-space nearest, weighted k/K_i; neighborhood preservation
-    penalizes the k input-space nearest missing from the projected set,
-    weighted K_i/k. Ranks are min-ranks (strictly-closer count + 1), so with
-    ties the scores may fall slightly outside [0, 1]; they are reported
-    unclamped.
-    """
+
+def _check_order(data: Dataset, k: int) -> None:
+    """Trustworthiness' and neighborhood preservation's checks, in order."""
+    _check_samples(data, 3)
     n = data.n_samples
-    if n < 3:
-        raise ValueError(f"need at least 3 samples, got {n}")
     if not 1 <= k < n / 2:
         raise ValueError(f"neighborhood order k must satisfy 1 <= k < N/2 = {n / 2}, got {k}")
+
+
+def _check_kse(codebook: CodeBook, data: Dataset) -> None:
+    """The Kruskal-Shepard error's checks before its scan, in order."""
+    _check_samples(data, 2)
+    codebook.grid.max_distance()  # a one-unit map has no diameter to scale by
+
+
+def _passes(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def _pair_sums(codebook: CodeBook, data: Dataset, own: tuple[int | None, bool, bool]) -> _PairSums:
+    """The scan for the consumers ``own`` = (trust/NP order, KSE, C), which the caller has checked.
+
+    Inside an evaluation that asks for them, the scan also serves every other
+    pair metric the evaluation asks for whose checks pass, and runs once.
+    """
+    metrics, k = _scope_request(codebook, data)
+    planned = (k if k is not None and metrics & {"trustworthiness", "neighborhood_preservation"}
+               and _passes(_check_order, data, k) else None,
+               "kruskal_shepard_error" in metrics and _passes(_check_kse, codebook, data),
+               "c_measure" in metrics and _passes(_check_samples, data, 2))
+    if all(not mine or mine == plan for mine, plan in zip(own, planned)):
+        own = planned  # the evaluation asks for this metric: one scan serves every one it asks for
+    return _shared(codebook, data, ("pairs", *own), lambda: _pair_scan(codebook, data, *own))
+
+
+def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: bool) -> _PairSums:
+    """One pass over all sample pairs, in ``_BLOCK``-row blocks, for the consumers switched on.
+
+    ``k`` is the trust/NP order (None: off); ``kse`` and ``c`` switch on the
+    Kruskal-Shepard and C sums. Each block computes its squared input and BMU
+    map distances once. The KSE and C sums are taken first, on those (B, N)
+    arrays and in block order; the trust/NP work then reuses the distances.
+    The block size is a constant, so summation order and output bits never
+    depend on the machine.
+    """
+    x = data.samples
+    n = len(x)
     bmus = project(codebook, data, depth=1).bmu
-    trust_terms, np_terms = np.empty(n), np.empty(n)
-    for rows, d2, dm in _pair_blocks(codebook, data, bmus):
-        b = len(d2)
-        others = np.ones(d2.shape, dtype=bool)
-        others[np.arange(b), np.arange(b) + rows.start] = False  # drop each row's own sample
-        d2, dm = d2[others].reshape(b, n - 1), dm[others].reshape(b, n - 1)
+    if kse:
+        max_d2, delta_max = _max_squared_distance(x), codebook.grid.max_distance()
+        kse = max_d2 != 0.0  # all samples identical: the KSE cannot be scaled, and fails on its own
+    if k is None and not kse and not c:
+        return _PairSums(None, None, None)
+    dmat = distance_matrix(codebook.grid)
+    if k is not None:
+        cuts, sizes, closer = _map_ranks(dmat, bmus, k)
+        trust_terms, np_terms = np.empty(n), np.empty(n)
+    kse_sum = c_sum = 0.0
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        d2 = squared_distances(x[rows], x)
+        dm = dmat[bmus[rows]].take(bmus, axis=1)
+        if kse:
+            terms = d2 / max_d2
+            terms -= dm / delta_max
+            kse_sum += float(np.square(terms, out=terms).sum())
+            del terms
+        if c:
+            terms = np.sqrt(d2)
+            terms *= dm
+            for i, row in enumerate(terms, start):
+                row[i:] = 0.0  # each unordered pair counted once
+            c_sum += float(terms.sum())
+            del terms
+        if k is not None:
+            units = bmus[rows]
+            false_pen, missed_pen = _np_trust_penalties(d2, dm, start, k, cuts[units], closer[units])
+            trust_terms[rows] = (k / sizes[units]) * false_pen.astype(float)
+            np_terms[rows] = (sizes[units] / k) * missed_pen.astype(float)
 
-        # input side: the exact k nearest, ties at the k-th value going to
-        # the lowest sample index; min-ranks (strictly closer count + 1) by
-        # binary search in the sorted row
-        ranked = np.sort(d2, axis=1)
-        kth = ranked[:, k - 1:k]
-        below, at_kth = d2 < kth, d2 == kth
-        nearest = below | (at_kth & (np.cumsum(at_kth, axis=1) <= k - below.sum(axis=1)[:, None]))
+    np_trust = None
+    if k is not None:
+        factor = 2.0 / (n * k * (2 * n - 3 * k - 1))
+        # cumsum adds strictly in sample order, as a running total would
+        np_trust = (1.0 - factor * float(np.cumsum(np_terms)[-1]), 1.0 - factor * float(np.cumsum(trust_terms)[-1]))
+    return _PairSums(np_trust, kse_sum / (n * (n - 1)) if kse else None, c_sum if c else None)
 
-        # map side: tie-expanded projected set, min-ranks from per-row counts
-        cut = np.partition(dm, k - 1, axis=1)[:, k - 1:k]
-        proj_set = dm <= cut
-        width = int(dm.max()) + 1
-        counts = np.bincount((dm + width * np.arange(b)[:, None]).ravel(), minlength=b * width).reshape(b, width)
-        closer = np.cumsum(counts, axis=1) - counts
 
-        size = proj_set.sum(axis=1)
-        false_set = proj_set & ~nearest
-        false_pen = np.zeros(b, dtype=np.int64)
-        for i in np.flatnonzero(false_set.any(axis=1)):
-            false_pen[i] = (np.searchsorted(ranked[i], d2[i, false_set[i]]) + 1 - k).sum()
-        near_dm = dm[nearest].reshape(b, k)  # exactly k per row, in input order
-        missed_pen = np.where(near_dm <= cut, 0, np.take_along_axis(closer, near_dm, axis=1) + 1 - k).sum(axis=1)
-        trust_terms[rows] = (k / size) * false_pen.astype(float)
-        np_terms[rows] = (size / k) * missed_pen.astype(float)
+def _max_squared_distance(x: np.ndarray) -> float:
+    """``squared_distances(x, x).max()``, bit for bit, from the samples that can end the farthest pair.
 
-    factor = 2.0 / (n * k * (2 * n - 3 * k - 1))
-    # cumsum adds strictly in sample order, as a running total would
-    return 1.0 - factor * float(np.cumsum(np_terms)[-1]), 1.0 - factor * float(np.cumsum(trust_terms)[-1])
+    With r_i the distance of sample i from the sample mean, no pair with
+    sample i is farther apart than r_i + max r. A sample whose squared bound,
+    plus a rounding slack, stays below the exact largest distance from the
+    farthest sample cannot end the farthest pair; the exact distances among
+    the other samples give the maximum. The kernel's per-element bits do not
+    depend on the block, so the maximum is the full scan's.
+    """
+    d = x.shape[1]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        radii = np.sqrt(np.einsum("nd,nd->n", centered, centered))
+        reach = radii + radii.max()
+        # With u = eps/2, a kernel distance is within (D+2)u of the exact one
+        # and the bound's radii, sum and square within (D+7)u, for any
+        # summation order and with fused multiply-add; 4(D+4)·eps covers both
+        # with room to spare. Subnormal rounding adds at most
+        # 4·sqrt(D·tiny)·reach + (5D+1)·tiny, covered twice by the absolute
+        # terms. A bound that overflows to inf, or a NaN one, keeps the sample.
+        bound = reach * reach + ((d + 4) * (eps * (2.0 * reach) ** 2 + 8.0 * tiny)
+                                 + 8.0 * reach * np.sqrt(d * tiny))
+    lower = squared_distances(x[[np.argmax(radii)]], x).max()
+    kept = x[~(bound < lower)]
+    return float(max(squared_distances(kept[s:s + _BLOCK], kept).max() for s in range(0, len(kept), _BLOCK)))
+
+
+def _map_ranks(dmat: np.ndarray, bmus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map-side ranks of trust/NP per BMU unit: (cut, projected-set size, strictly-closer counts).
+
+    For a sample on unit u, the other samples lie at map distances
+    ``dmat[u, bmus]``; ``counts[u, v]`` counts them at distance v. The cut is
+    the k-th smallest of those distances, the size K_i counts the samples
+    within the cut, and ``closer[u, v]`` those strictly closer than v.
+    """
+    K = len(dmat)
+    counts = np.zeros((K, int(dmat.max()) + 1), dtype=np.int64)
+    np.add.at(counts, (np.arange(K)[:, None], dmat), np.bincount(bmus, minlength=K))
+    counts[:, 0] -= 1  # the sample itself, at map distance 0
+    within = np.cumsum(counts, axis=1)
+    cuts = np.argmax(within >= k, axis=1)
+    return cuts, within[np.arange(K), cuts], within - counts
+
+
+def _np_trust_penalties(d2: np.ndarray, dm: np.ndarray, start: int, k: int, cut: np.ndarray,
+                        closer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a block: (trustworthiness, neighborhood preservation) rank penalties.
+
+    ``d2`` and ``dm`` are the block's (B, N) squared input and map distances,
+    rows ``start..start+B-1``; ``cut`` and ``closer`` are the rows' map ranks
+    of ``_map_ranks``. Overwrites each row's own entry of ``d2`` with inf.
+    """
+    b = len(d2)
+    own = (np.arange(b), np.arange(start, start + b))
+    d2[own] = np.inf  # a sample is never its own neighbor
+
+    # input side: the exact k nearest, ties at the k-th value going to the
+    # lowest sample index; min-ranks (strictly closer count + 1) by binary
+    # search in the sorted row
+    ranked = np.sort(d2, axis=1)
+    kth = ranked[:, k - 1:k]
+    nearest = d2 <= kth
+    tied = np.flatnonzero(np.count_nonzero(nearest, axis=1) > k)  # rows with more than k candidates
+    if len(tied):
+        row, value = d2[tied], kth[tied]
+        below, at_kth = row < value, row == value
+        nearest[tied] = below | (at_kth & (np.cumsum(at_kth, axis=1) <= k - below.sum(axis=1)[:, None]))
+
+    # map side: the tie-expanded projected set, without the sample itself;
+    # trustworthiness ranks its members outside the k nearest in the sorted
+    # row, neighborhood preservation the k nearest outside it by map counts
+    proj_set = dm <= cut[:, None]
+    proj_set[own] = False
+    false_rows, false_cols = np.nonzero(proj_set & ~nearest)
+    values = d2[false_rows, false_cols]
+    bounds = np.searchsorted(false_rows, np.arange(b + 1))  # row i's members are bounds[i]:bounds[i + 1]
+    ranks = np.concatenate([ranked[i].searchsorted(values[bounds[i]:bounds[i + 1]]) for i in range(b)])
+    running = np.concatenate(([0], np.cumsum(ranks + 1 - k)))
+    false_pen = running[bounds[1:]] - running[bounds[:-1]]
+    near_dm = dm[nearest].reshape(b, k)  # exactly k per row, in input order
+    missed = np.where(near_dm <= cut[:, None], 0, np.take_along_axis(closer, near_dm, axis=1) + 1 - k)
+    return false_pen, missed.sum(axis=1)
 
 
 def trustworthiness(codebook: CodeBook, data: Dataset, k: int) -> float:
     """How much the k nearest map neighbors of each sample can be trusted.
 
     Penalizes samples that enter a projected k-neighborhood without belonging
-    to the input-space one.
+    to the input-space one. The projected neighbor set of a sample holds every
+    other sample whose BMU map distance is within the k-th smallest (ties at
+    the cut included, size K_i >= k); each sample's penalty is weighted k/K_i.
+    Ranks are min-ranks (strictly-closer count + 1), so with ties the score
+    may fall slightly outside [0, 1]; it is reported unclamped.
     """
-    return _shared(codebook, data, ("np_trust", k), lambda: _np_trust_scores(codebook, data, k))[1]
+    _check_order(data, k)
+    return _pair_sums(codebook, data, (k, False, False)).np_trust[1]
 
 
 def neighborhood_preservation(codebook: CodeBook, data: Dataset, k: int) -> float:
     """How much input-space k-neighborhoods survive the projection.
 
     Penalizes input-space neighbors that fall outside the projected
-    neighbor set; the space-swapped counterpart of :func:`trustworthiness`.
+    neighbor set; the space-swapped counterpart of :func:`trustworthiness`,
+    weighted K_i/k.
     """
-    return _shared(codebook, data, ("np_trust", k), lambda: _np_trust_scores(codebook, data, k))[0]
+    _check_order(data, k)
+    return _pair_sums(codebook, data, (k, False, False)).np_trust[0]
 
 
 def topographic_product(codebook: CodeBook) -> float:
@@ -247,21 +378,11 @@ def kruskal_shepard_error(codebook: CodeBook, data: Dataset) -> float:
     Input side: squared euclidean distances over samples, scaled by their
     maximum. Map side: BMU map distances scaled by the map diameter.
     """
-    n = data.n_samples
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    delta_max = codebook.grid.max_distance()
-    bmus = project(codebook, data, depth=1).bmu
-
-    x = data.samples
-    max_d2 = max(float(squared_distances(x[start:start + _BLOCK], x).max()) for start in range(0, n, _BLOCK))
-    if max_d2 == 0.0:
+    _check_kse(codebook, data)
+    kse = _pair_sums(codebook, data, (None, True, False)).kse
+    if kse is None:
         raise ValueError("all samples identical: input distance matrix cannot be scaled")
-
-    acc = 0.0
-    for _, d2, dm in _pair_blocks(codebook, data, bmus):
-        acc += float(((d2 / max_d2 - dm / delta_max) ** 2).sum())
-    return acc / (n * (n - 1))
+    return kse
 
 
 def c_measure(codebook: CodeBook, data: Dataset) -> float:
@@ -270,12 +391,5 @@ def c_measure(codebook: CodeBook, data: Dataset) -> float:
     Large values mean far-apart samples also land far apart on the map; a
     cost to maximize, not an error.
     """
-    n = data.n_samples
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    bmus = project(codebook, data, depth=1).bmu
-    total = 0.0
-    for rows, d2, dm in _pair_blocks(codebook, data, bmus):
-        mask = np.arange(n) < np.arange(len(d2))[:, None] + rows.start  # each unordered pair counted once
-        total += float((np.sqrt(d2) * dm * mask).sum())
-    return total
+    _check_samples(data, 2)
+    return _pair_sums(codebook, data, (None, False, True)).c

@@ -223,26 +223,43 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
     return out
 
 
-# (codebook, data, results) of the evaluation that is running, or None
-_SCOPE: ContextVar[tuple[CodeBook, Dataset, dict] | None] = ContextVar("sommetrics_shared_results", default=None)
+# (codebook, data, results, (requested metric names, k)) of the evaluation that is running, or None
+_SCOPE: ContextVar[tuple[CodeBook, Dataset, dict, tuple] | None] = ContextVar("sommetrics_shared_results",
+                                                                             default=None)
 
 
 @contextmanager
-def _shared_results(codebook: CodeBook, data: Dataset):
-    """Within the block, ``_shared`` keeps each result computed on these two objects."""
-    token = _SCOPE.set((codebook, data, {}))
+def _shared_results(codebook: CodeBook, data: Dataset, metrics=(), k: int | None = None):
+    """Within the block, ``_shared`` keeps each result computed on these two objects.
+
+    ``metrics`` and ``k`` name what the evaluation will ask for, so that work
+    shared by several metrics can be done once for all of them.
+    """
+    token = _SCOPE.set((codebook, data, {}, (frozenset(metrics), k)))
     try:
         yield
     finally:
         _SCOPE.reset(token)
 
 
-def _scope_results(codebook: CodeBook, data: Dataset) -> dict | None:
-    """The results of the running scope when it is over these very objects, else None."""
+def _scope(codebook: CodeBook, data: Dataset) -> tuple | None:
+    """The running scope when it is over these very objects, else None."""
     scope = _SCOPE.get()
     if scope is None or scope[0] is not codebook or scope[1] is not data:
         return None
-    return scope[2]
+    return scope
+
+
+def _scope_results(codebook: CodeBook, data: Dataset) -> dict | None:
+    """The results of the running scope when it is over these very objects, else None."""
+    scope = _scope(codebook, data)
+    return None if scope is None else scope[2]
+
+
+def _scope_request(codebook: CodeBook, data: Dataset) -> tuple[frozenset, int | None]:
+    """(requested metric names, k) of the running scope over these very objects; nothing outside one."""
+    scope = _scope(codebook, data)
+    return (frozenset(), None) if scope is None else scope[3]
 
 
 def _shared(codebook: CodeBook, data: Dataset, key, compute):

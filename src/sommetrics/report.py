@@ -205,7 +205,8 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
                             NeighborhoodKernel(config.kernel))
     results: dict[str, Any] = {}
     failed: list[str] = []
-    with _shared_results(codebook, data):  # one projection and one trust/NP scan for all metrics
+    # one projection and one sample-pair scan for all metrics; the first metric that needs either pays for it
+    with _shared_results(codebook, data, config.metrics, config.k):
         for name in config.metrics:
             try:
                 value = REGISTRY[name].compute(ctx)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sommetrics import (
@@ -29,7 +29,7 @@ from sommetrics import (
 )
 from sommetrics import internal
 from sommetrics.internal import _map_path_costs
-from sommetrics.model import bmu_distances
+from sommetrics.model import _shared_results, bmu_distances, squared_distances
 
 from oracles import min_path_cost_exhaustive, topographic_product_bruteforce, trust_np_bruteforce
 
@@ -218,6 +218,14 @@ def _oracle_pair(cb, data, k):
     return trust_np_bruteforce(data.samples.tolist(), [int(b) for b in bmus], dmat, k)
 
 
+PAIR_METRICS = ("trustworthiness", "neighborhood_preservation", "kruskal_shepard_error", "c_measure")
+
+
+def _pair_values(cb, data, k):
+    return (trustworthiness(cb, data, k), neighborhood_preservation(cb, data, k),
+            kruskal_shepard_error(cb, data), c_measure(cb, data))
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -303,10 +311,12 @@ def test_pair_metrics_do_not_depend_on_block_size(monkeypatch, topology, seed):
     kse, cm = kruskal_shepard_error(cb, data), c_measure(cb, data)
     for block in (1, 3, 7):
         monkeypatch.setattr(internal, "_BLOCK", block)
-        assert trustworthiness(cb, data, k) == trust
-        assert neighborhood_preservation(cb, data, k) == nbp
-        assert kruskal_shepard_error(cb, data) == pytest.approx(kse, rel=1e-12)
-        assert c_measure(cb, data) == pytest.approx(cm, rel=1e-12)
+        direct = _pair_values(cb, data, k)
+        with _shared_results(cb, data, PAIR_METRICS, k):  # one fused scan serves all four
+            assert _pair_values(cb, data, k) == direct
+        assert direct[:2] == (trust, nbp)
+        assert direct[2] == pytest.approx(kse, rel=1e-12)
+        assert direct[3] == pytest.approx(cm, rel=1e-12)
 
 
 def test_trust_memory_is_bounded_by_the_block(monkeypatch):
@@ -315,6 +325,30 @@ def test_trust_memory_is_bounded_by_the_block(monkeypatch):
     cb = CodeBook(rng.normal(size=(100, 2)), MapGrid(10, 10))
     data = Dataset(rng.normal(size=(2000, 2)))
     assert _traced_peak(trustworthiness, cb, data, 10) < 16 * 2**20  # an N x N int64 matrix is 30.5 MiB
+
+    def fused():
+        with _shared_results(cb, data, PAIR_METRICS, 10):
+            return _pair_values(cb, data, 10)
+
+    assert _traced_peak(fused) < 16 * 2**20
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.sampled_from([1, 2, 16, 200]),
+       shape=st.sampled_from(["normal", "sphere", "offset", "duplicated"]))
+@example(seed=0, n=2, d=1, shape="normal")
+def test_pruned_kse_maximum_equals_the_full_scan(seed, n, d, shape):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    if shape == "sphere":  # antipodal pairs about a mean of about 0: every bound is close to the maximum
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x = np.vstack([x, -x])
+    elif shape == "offset":  # a spread far below the magnitude
+        x = 1e8 + 1e-3 * x
+    elif shape == "duplicated":  # the two samples farthest from the mean, twice more each
+        far = np.argsort(np.linalg.norm(x - x.mean(axis=0), axis=1))[-2:]
+        x = np.vstack([x, x[far], x[far]])
+    assert internal._max_squared_distance(x) == squared_distances(x, x).max()
 
 
 def test_trust_k_range_validated():

@@ -152,21 +152,21 @@ def test_evaluate_projects_once_for_label_metrics(fixture_files, monkeypatch):
     assert not report.failed
     assert len(calls) == 1
 
-    # with all metrics: still one projection, and one trust/NP scan for both scores
+    # with all metrics: still one projection, and one sample-pair scan for all four pair metrics
     scans = []
-    np_trust_scores = sm.internal._np_trust_scores
+    pair_scan = sm.internal._pair_scan
 
     def counting_scans(*args):
-        scans.append(args[2])
-        return np_trust_scores(*args)
+        scans.append(args[2:])
+        return pair_scan(*args)
 
-    monkeypatch.setattr(sm.internal, "_np_trust_scores", counting_scans)
+    monkeypatch.setattr(sm.internal, "_pair_scan", counting_scans)
     calls.clear()
     config.metrics, config.k = sm.METRIC_NAMES, 2
     report = evaluate(config)
     assert not report.failed
     assert len(calls) == 1
-    assert scans == [2]
+    assert scans == [(2, True, True)]
 
 
 def test_evaluate_all_metrics_equal_direct_calls_on_ties(tmp_path):
@@ -229,6 +229,71 @@ def test_evaluate_all_metrics_equal_direct_calls_on_ties(tmp_path):
         shared = sm.project(cb, data).bmu_ranks
         assert np.array_equal(sm.project(cb, other).bmu_ranks, alone)
     assert not np.array_equal(shared, alone)
+
+
+PAIR_METRICS = ("trustworthiness", "neighborhood_preservation", "kruskal_shepard_error", "c_measure")
+
+
+def _count_pair_scans(monkeypatch) -> list:
+    scans = []
+    pair_scan = sm.internal._pair_scan
+
+    def counting_scans(*args):
+        scans.append(args[2:])
+        return pair_scan(*args)
+
+    monkeypatch.setattr(sm.internal, "_pair_scan", counting_scans)
+    return scans
+
+
+def _direct_entry(name, cb, data, k):
+    """A pair metric's value from a direct call, or the report entry of its error."""
+    try:
+        return getattr(sm, name)(cb, data, *([k] if name in PAIR_METRICS[:2] else []))
+    except ValueError as exc:
+        return {"error": f"ValueError: {exc}"}
+
+
+@pytest.mark.parametrize("case, failed", [
+    ("bad_k", ["trustworthiness", "neighborhood_preservation"]),
+    ("identical_samples", ["kruskal_shepard_error"]),
+    ("one_unit_map", ["kruskal_shepard_error"]),
+])
+def test_evaluate_pair_metric_errors_stay_per_metric(tmp_path, monkeypatch, case, failed):
+    # one fused scan serves the pair metrics whose own checks pass; the
+    # others fail with the error string of a direct call
+    rng = np.random.default_rng(8)
+    rows, k = 3, 2
+    samples, protos = rng.normal(size=(30, 2)), rng.normal(size=(9, 2))
+    if case == "bad_k":
+        k = 15  # k must stay below N/2
+    elif case == "identical_samples":
+        samples = np.tile(samples[:1], (30, 1))
+    else:
+        rows, protos = 1, protos[:1]
+    save_matrix(tmp_path / "codebook.csv", protos)
+    save_matrix(tmp_path / "data.csv", samples)
+    scans = _count_pair_scans(monkeypatch)
+    report = evaluate(EvaluationConfig(codebook_path=str(tmp_path / "codebook.csv"),
+                                       data_path=str(tmp_path / "data.csv"), rows=rows, cols=rows,
+                                       metrics=PAIR_METRICS, k=k))
+    assert report.failed == failed
+    assert len(scans) == 1
+    cb, data = sm.CodeBook(protos, sm.MapGrid(rows, rows)), sm.Dataset(samples)
+    for name in PAIR_METRICS:
+        assert report.metrics[name] == _direct_entry(name, cb, data, k), name
+
+
+def test_evaluate_kse_alone_runs_no_trust_work(fixture_files, monkeypatch):
+    codebook_path, data_path, _, coords, samples, _ = fixture_files
+    scans = _count_pair_scans(monkeypatch)
+    monkeypatch.setattr(sm.internal, "_np_trust_penalties", None)  # any trust/NP work would raise
+    report = evaluate(EvaluationConfig(codebook_path=str(codebook_path), data_path=str(data_path),
+                                       rows=3, cols=3, metrics=("kruskal_shepard_error",), k=2))
+    assert not report.failed
+    assert scans == [(None, True, False)]
+    assert report.metrics["kruskal_shepard_error"] == sm.kruskal_shepard_error(
+        sm.CodeBook(coords, sm.MapGrid(3, 3)), sm.Dataset(samples))
 
 
 def test_evaluate_json_round_trip_preserves_floats(fixture_files):
