@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from sommetrics import Dataset, TrainerConfig, train_som
-from sommetrics.demos import _ORGANIZATION_METRICS, _swap_units
+from sommetrics.demos import _ORGANIZATION_METRICS, _score_map, _swap_units
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     print(",".join(["swap_fraction", *_ORGANIZATION_METRICS]))
     for fraction in (float(f) for f in args.fractions.split(",")):
         cb = _swap_units(trained, fraction, np.random.default_rng(args.seed + 1))
-        print(",".join([str(fraction), *(repr(fn(cb, data)) for fn in _ORGANIZATION_METRICS.values())]))
+        print(",".join([str(fraction), *map(repr, _score_map(cb, data, _ORGANIZATION_METRICS).values())]))
 
 
 if __name__ == "__main__":

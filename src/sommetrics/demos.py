@@ -21,7 +21,7 @@ from .internal import (
     topographic_error,
     topographic_function,
 )
-from .model import CodeBook, Dataset, TrainerConfig, train_som
+from .model import CodeBook, Dataset, TrainerConfig, _shared_results, train_som
 
 # Fraction of unit pairs whose prototypes get swapped for the medium map.
 _MEDIUM_SWAP_FRACTION = 0.25
@@ -62,13 +62,23 @@ _STRIPE_METRICS = {
 }
 
 
+def _score_map(codebook: CodeBook, data: Dataset, metrics: dict) -> dict[str, float]:
+    """Every metric of ``metrics`` on one map, in order.
+
+    The metrics run in one scope that names them, so the projection and the
+    sample-pair scan are computed once for all of them.
+    """
+    with _shared_results(codebook, data, metrics):
+        return {metric: fn(codebook, data) for metric, fn in metrics.items()}
+
+
 def _score_maps(outdir: Path, prefix: str, first_column: str, maps: dict[str, CodeBook],
                 data: Dataset, metrics: dict) -> dict:
     """Score and draw each map in order, then tabulate the scores as ``<prefix>_metrics.csv``."""
     scores: dict[str, dict[str, float]] = {}
     files = []
     for name, codebook in maps.items():
-        scores[name] = {metric: fn(codebook, data) for metric, fn in metrics.items()}
+        scores[name] = _score_map(codebook, data, metrics)
         svg_path = outdir / f"{prefix}_{name}.svg"
         svg_path.write_text(render_map_svg(codebook, data))
         files.append(svg_path)

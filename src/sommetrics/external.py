@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 
 from .grid import distance_matrix
 from .model import CodeBook, Dataset, project
@@ -50,6 +48,10 @@ def clustering_accuracy(assignments, labels) -> float:
     is an edge; every full matching has min(K, C) edges, so the shift adds the
     same amount to each and leaves the optimum unchanged.
     """
+    # scipy loads on first use, so that importing the package and training do not pay for it
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     counts = contingency_table(assignments, labels)
     rows, cols = min_weight_full_bipartite_matching(csr_array(counts + 1.0), maximize=True)
     return float(counts[rows, cols].sum() / counts.sum())
@@ -57,6 +59,9 @@ def clustering_accuracy(assignments, labels) -> float:
 
 def _component_count(grid, marked: np.ndarray) -> int:
     """Connected components among ``marked`` units under map adjacency (distance 1)."""
+    # scipy loads on first use, so that importing the package and training do not pay for it
+    from scipy.sparse.csgraph import connected_components
+
     adjacent = distance_matrix(grid)[np.ix_(marked, marked)] == 1
     return connected_components(adjacent, directed=False)[0]
 

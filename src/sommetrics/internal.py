@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import dijkstra
 
 from .grid import GAUSSIAN, NeighborhoodKernel, _weights_by_distance, adjacency_pairs, distance_matrix
 from .model import (_BLOCK, CodeBook, Dataset, _check_dims, _overflow_is_an_error, _paired_squared_distances,
@@ -59,6 +57,10 @@ def _map_path_costs(codebook: CodeBook, sources: np.ndarray) -> np.ndarray:
     the graph is built from COO without ``eliminate_zeros``, so csgraph keeps
     explicit zeros as edges.
     """
+    # scipy loads on first use, so that importing the package and training do not pay for it
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import dijkstra
+
     K = codebook.n_units
     a, b = adjacency_pairs(codebook.grid).T
     p = codebook.prototypes

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import sommetrics as sm
 from sommetrics.cli import main
 from sommetrics.dataio import load_labels, load_matrix, save_matrix
-from sommetrics.demos import run_demo
+from sommetrics.demos import _ORGANIZATION_METRICS, _score_maps, run_demo
 from sommetrics.errors import InputError
 from sommetrics.figures import render_map_svg
 from sommetrics.report import EvaluationConfig, evaluate
@@ -643,6 +643,19 @@ def test_run_demo_unknown_experiment_names_the_valid_ones(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_score_maps_runs_one_pair_scan_per_map(tmp_path, monkeypatch):
+    # each map's KSE and C-measure share one sample-pair scan; the scores
+    # equal direct calls made outside any scope
+    rng = np.random.default_rng(13)
+    data = sm.Dataset(rng.random((60, 2)))
+    maps = {name: sm.CodeBook(rng.random((9, 2)), sm.MapGrid(3, 3)) for name in ("a", "b", "c")}
+    scans = _count_pair_scans(monkeypatch)
+    result = _score_maps(tmp_path, "t", "map", maps, data, _ORGANIZATION_METRICS)
+    assert scans == [(None, True, True)] * len(maps)
+    for name, cb in maps.items():
+        assert result["metrics"][name] == {metric: fn(cb, data) for metric, fn in _ORGANIZATION_METRICS.items()}
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # a fresh interpreter: the CLI and the accuracy matching load no scipy.optimize
     src = str(Path(sm.__file__).resolve().parents[1])
@@ -654,6 +667,36 @@ def test_cli_import_leaves_out_scipy_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_startup_and_train_load_no_scipy(tmp_path):
+    # a fresh interpreter: importing the package, --help and train load no
+    # scipy module; the first combined error call loads csgraph
+    src = str(Path(sm.__file__).resolve().parents[1])
+    data, out = tmp_path / "data.csv", tmp_path / "codebook.csv"
+    save_matrix(data, np.random.default_rng(3).random((20, 2)))
+    code = f"""
+import json, sys
+seen = {{}}
+def scipy_modules(stage):
+    seen[stage] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import sommetrics, sommetrics.cli
+scipy_modules("import")
+sommetrics.cli.main(["--help"], standalone_mode=False)
+scipy_modules("help")
+sommetrics.cli.main(["train", "--data", {str(data)!r}, "--rows", "2", "--cols", "3", "--iters", "50",
+                     "--seed", "1", "--out", {str(out)!r}], standalone_mode=False)
+scipy_modules("train")
+cb = sommetrics.CodeBook(sommetrics.dataio.load_matrix({str(out)!r}), sommetrics.MapGrid(2, 3))
+sommetrics.combined_error(cb, sommetrics.Dataset(sommetrics.dataio.load_matrix({str(data)!r})))
+print(json.dumps([seen, "scipy.sparse.csgraph" in sys.modules]))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [{"import": [], "help": [], "train": []}, True]
 
 # ---------------------------------------------------------------------------
 # SVG rendering
