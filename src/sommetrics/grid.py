@@ -110,18 +110,28 @@ class NeighborhoodKernel:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
 
-    def weight(self, d, temperature: float):
-        """Weight at map distance ``d`` (scalar or array) for temperature ``temperature``."""
-        if not temperature > 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
+    def weight(self, d, temperature):
+        """Weight at map distance ``d`` for ``temperature``, each a scalar or an array.
+
+        The two broadcast against each other; a scalar distance and a scalar
+        temperature give a Python ``float``. Every temperature must be positive.
+        Above about 1e154 a temperature squares to ``inf``, as a Python float
+        does, and the Gaussian weighs every distance 1.0.
+        """
+        t = np.asarray(temperature, dtype=float)
+        bad = ~(t > 0)
+        if bad.any():
+            raise ValueError(f"temperature must be positive, got {t[bad].flat[0]}")
         arr = np.asarray(d, dtype=float)
         if np.any(arr < 0):
             raise ValueError("map distance must be nonnegative")
         if self.kind == "gaussian":
-            w = np.exp(-(arr * arr) / (temperature * temperature))
+            with np.errstate(over="ignore"):
+                tt = t * t
+            w = np.exp(-(arr * arr) / tt)
         else:
-            w = (arr <= temperature).astype(float)
-        return w if arr.ndim else float(w)
+            w = (arr <= t).astype(float)
+        return w if w.ndim else float(w)
 
 
 def _weights_by_distance(kernel: NeighborhoodKernel, grid: MapGrid, temperature: float) -> np.ndarray:

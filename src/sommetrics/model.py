@@ -2,10 +2,11 @@
 
 The trainer exists to generate evaluation fixtures; it draws samples with
 replacement from a seeded generator, anneals the temperature geometrically
-from ``t_max`` to ``t_min``, and keeps the learning rate constant.
+from ``t_max`` to ``t_min``, and anneals the learning rate by the same factor.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -142,10 +143,13 @@ def _pairwise_sum(terms, lo: int, hi: int) -> np.ndarray:
     8 terms are added in order; up to 128 go to 8 partial sums, one 8-term
     slab at a time, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then
     the rest in order; longer runs split at half their length rounded down to
-    a multiple of 8. ``terms(i, j)`` returns a new ``(j - i, ...)`` array of
-    terms ``i..j-1``, which this function overwrites. Two slabs of at most 8
-    terms are live at once, the partial sums and the next slab, plus the first
-    half's sum for each level of splitting.
+    a multiple of 8. ``terms(i, j)`` returns a ``(j - i, ...)`` array of terms
+    ``i..j-1``: a new array, or a view into a scratch buffer that holds every
+    term. This function adds into the first slab of each run it sums, so a
+    scratch buffer's terms are spent after the call and the result may be a
+    view into it. Two slabs of at most 8 terms are live at once, the partial
+    sums and the next slab, plus the first half's sum for each level of
+    splitting.
     """
     n = hi - lo
     if n > 128:
@@ -161,14 +165,15 @@ def _pairwise_sum(terms, lo: int, hi: int) -> np.ndarray:
         end = hi - n % 8
         for i in range(lo + 8, end, 8):
             r += terms(i, i + 8)
-        r[0] += r[1]
-        r[2] += r[3]
-        r[0] += r[2]
-        r[4] += r[5]
-        r[6] += r[7]
-        r[4] += r[6]
-        r[0] += r[4]
-        total, rest = r[0], (terms(end, hi) if end < hi else ())
+        r0, r1, r2, r3, r4, r5, r6, r7 = r  # row views: each add below is one in-place ufunc call
+        r0 += r1
+        r2 += r3
+        r0 += r2
+        r4 += r5
+        r6 += r7
+        r4 += r6
+        r0 += r4
+        total, rest = r0, (terms(end, hi) if end < hi else ())
     for term in rest:
         total += term
     return total
@@ -386,6 +391,10 @@ class TrainerConfig:
     kernel: NeighborhoodKernel = field(default_factory=lambda: GAUSSIAN)
 
     def __post_init__(self) -> None:
+        for name in ("t_max", "t_min", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.t_max >= self.t_min > 0):
             raise ValueError(f"need t_max >= t_min > 0, got t_max={self.t_max}, t_min={self.t_min}")
         if not self.alpha > 0:
@@ -415,14 +424,21 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     every prototype moves toward it, weighted by the neighborhood kernel
     around the BMU. The BMU is the lowest unit of least squared distance,
     summed in the order of ``squared_distances``. Deterministic given the seed.
+
+    The learning rate times the kernel weight of each map distance
+    0..diameter is tabulated for a block of steps at once, at most ``_CHUNK``
+    entries and at least one step per table; each step reads its row at every
+    unit's distance from the BMU. The squared differences go to one reused
+    D x K buffer.
     """
     grid = config.grid
     rng = np.random.default_rng(config.seed)
     pt = np.ascontiguousarray(init_codebook(data, grid, rng).prototypes.T)  # D x K: one row per coordinate
-    diff = np.empty_like(pt)
+    diff, sq = np.empty_like(pt), np.empty_like(pt)
+    unit_weights = np.empty(pt.shape[1])
 
     def squares(i, j):
-        return np.square(diff[i:j])
+        return sq[i:j]
 
     dmat = distance_matrix(grid)
     span = np.arange(dmat.max() + 1.0)  # every map distance 0..diameter
@@ -430,14 +446,17 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     n, d = x.shape
     ratio = config.t_min / config.t_max
     iters = config.iterations
+    per_table = max(1, _CHUNK // len(span))
+    draws = (i for start in range(0, iters, _CHUNK)  # one draw per step, drawn a chunk at a time
+             for i in rng.integers(n, size=min(_CHUNK, iters - start)).tolist())
     with _overflow_is_an_error():
-        for start in range(0, iters, _CHUNK):  # one draw per step, drawn a chunk at a time
-            draws = rng.integers(n, size=min(_CHUNK, iters - start)).tolist()
-            for step, i in enumerate(draws, start + 1):
-                anneal = ratio ** (step / iters)
-                t = config.t_max * anneal
+        for first in range(1, iters + 1, per_table):
+            anneal = np.array([ratio ** (step / iters) for step in range(first, min(first + per_table, iters + 1))])
+            table = (config.alpha * anneal)[:, None] * config.kernel.weight(span, config.t_max * anneal[:, None])
+            for rates, i in zip(table, draws):  # zip asks the table first: no draw is lost at its end
                 np.subtract(x[i, :, None], pt, out=diff)
-                b = int(np.argmin(_pairwise_sum(squares, 0, d)))
-                diff *= ((config.alpha * anneal) * config.kernel.weight(span, t))[dmat[b]]
+                np.square(diff, out=sq)
+                b = int(_pairwise_sum(squares, 0, d).argmin())
+                diff *= rates.take(dmat[b], out=unit_weights)
                 pt += diff
     return CodeBook(pt.T.copy(), grid)

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sommetrics import GAUSSIAN, WINDOW, MapGrid, NeighborhoodKernel, adjacency_pairs, distance_matrix
@@ -129,6 +130,60 @@ def test_kernel_validation():
         GAUSSIAN.weight(-0.5, 1.0)
     with pytest.raises(ValueError):
         NeighborhoodKernel("triangular")
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, WINDOW], ids=lambda kernel: kernel.kind)
+def test_kernel_refuses_any_bad_temperature_in_an_array(kernel):
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"^temperature must be positive, got {bad}$"):
+            kernel.weight(np.arange(4.0), np.array([[2.0], [bad], [1.0]]))
+        with pytest.raises(ValueError, match=f"^temperature must be positive, got {bad}$"):
+            kernel.weight(1.0, bad)
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, WINDOW], ids=lambda kernel: kernel.kind)
+def test_kernel_return_types(kernel):
+    assert type(kernel.weight(1.0, 2.0)) is float
+    assert type(kernel.weight(np.float64(1.0), np.float64(2.0))) is float
+    ts = np.array([0.5, 2.0])
+    assert np.array_equal(kernel.weight(1.0, ts), [kernel.weight(1.0, t) for t in ts])
+    assert kernel.weight(np.arange(3.0), 2.0).shape == (3,)
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, WINDOW], ids=lambda kernel: kernel.kind)
+def test_kernel_weighs_every_distance_one_at_a_huge_temperature(kernel):
+    # above about 1e154, T^2 is inf, as the product of two Python floats is:
+    # d^2 / inf is 0, so every weight is exactly 1.0, with no overflow raised
+    # inside a scan's errstate and no warning outside one
+    span = np.arange(30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in ("raise", "warn"):
+            with np.errstate(over=state):
+                for t in (1e200, 1e300):
+                    assert kernel.weight(span, t).tobytes() == np.ones(30).tobytes()
+                    assert kernel.weight(29.0, t) == 1.0
+                table = kernel.weight(span, np.array([[1e200], [2.0], [1e300]]))
+                assert table.tobytes() == np.stack([np.ones(30), kernel.weight(span, 2.0), np.ones(30)]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "window"]),
+    diameter=st.integers(0, 80),
+    ts=st.lists(st.floats(min_value=1e-150, max_value=1e300), min_size=1, max_size=40),
+)
+@example(kind="gaussian", diameter=80, ts=[1e-150, 1e154, 1.5e154, 1e200, 1e300])
+def test_kernel_temperature_rows_match_scalar_calls(kind, diameter, ts):
+    # the trainer weighs a block of steps at once: each row of the broadcast
+    # table must carry the bytes of that step's scalar-temperature call
+    kernel = NeighborhoodKernel(kind)
+    span = np.arange(diameter + 1.0)
+    ts = np.array(ts)
+    table = kernel.weight(span, ts[:, None])
+    assert table.shape == (len(ts), diameter + 1)
+    for row, t in zip(table, ts.tolist()):
+        assert row.tobytes() == kernel.weight(span, t).tobytes()
 
 
 @settings(max_examples=200)

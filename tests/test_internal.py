@@ -117,6 +117,18 @@ def test_distortion_refuses_temperature_the_gaussian_cannot_weigh():
         assert distortion(cb, data, 1e-170, WINDOW) == distortion(cb, data, 0.5, WINDOW)
 
 
+@pytest.mark.parametrize("kernel", [GAUSSIAN, WINDOW], ids=lambda kernel: kernel.kind)
+def test_distortion_at_a_huge_temperature_weighs_every_unit_one(kernel):
+    # above about 1e154 the Gaussian's T^2 is inf and every weight is 1.0, so
+    # the distortion is the plain sum of every squared distance over N
+    cb, data = random_instance(4, n=20)
+    expected = float(np.float64(0.0) + squared_distances(data.samples, cb.prototypes).sum()) / data.n_samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e200, 1e300):
+            assert distortion(cb, data, t, kernel) == expected
+
+
 # ---------------------------------------------------------------------------
 # topographic error
 # ---------------------------------------------------------------------------

@@ -543,6 +543,39 @@ def test_cli_train_tiny_t_min_is_one_config_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, name, value", [("--alpha", "alpha", "inf"), ("--tmax", "t_max", "inf"),
+                                                 ("--tmin", "t_min", "nan")])
+def test_cli_train_non_finite_parameter_is_one_config_line(tmp_path, option, name, value):
+    # a real process, so that numpy warnings would reach stderr; the one line
+    # names the parameter at fault, before any temperature is computed from it
+    data, out = tmp_path / "data.csv", tmp_path / "codebook.csv"
+    save_matrix(data, np.random.default_rng(3).random((20, 2)))
+    src = str(Path(sm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "sommetrics.cli", "train", "--data", str(data), "--rows", "2", "--cols", "3",
+         option, value, "--iters", "50", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: config: {name} must be finite, got {value}"]
+    assert not out.exists()
+
+
+def test_cli_train_at_a_huge_temperature_succeeds_quietly(tmp_path):
+    # a real process, so that numpy warnings would reach stderr; T^2 is inf
+    # above about 1e154 and the kernel weighs every map distance 1.0
+    data, out = tmp_path / "data.csv", tmp_path / "codebook.csv"
+    save_matrix(data, np.random.default_rng(3).random((20, 2)))
+    src = str(Path(sm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "sommetrics.cli", "train", "--data", str(data), "--rows", "2", "--cols", "3",
+         "--tmax", "1e200", "--tmin", "1", "--iters", "50", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    assert load_matrix(out).shape == (6, 2)
+
+
 def test_cli_train_round_trip_close_to_library(runner, tmp_path):
     data_arr = np.random.default_rng(2).random((60, 2))
     data = tmp_path / "data.csv"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sommetrics import (
@@ -209,6 +209,26 @@ def test_slab_sum_matches_numpy_sum(d, k, chunk, seed):
         assert np.array_equal(model.squared_distances(x, p)[0], ((x - p) ** 2).sum(axis=-1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 300),
+    k=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=129, k=5, seed=0)
+@example(d=300, k=200, seed=1)
+def test_slab_sum_over_one_reused_buffer_matches_numpy_sum(d, k, seed):
+    # the trainer squares into one D x K buffer and sums views of it; the sum
+    # spends the buffer's terms, so each round refills it, as each step does
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((d, k))
+    for _ in range(2):
+        terms = rng.normal(size=(k, d)) ** 2 * 10.0 ** rng.integers(-3, 4, size=d)
+        np.copyto(buffer, terms.T)
+        total = model._pairwise_sum(lambda i, j: buffer[i:j], 0, d)
+        assert total.tobytes() == terms.sum(axis=-1).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     duplicates=st.booleans(),
@@ -357,11 +377,16 @@ def test_train_window_kernel_bmu_step_contracts():
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, WINDOW], ids=lambda kernel: kernel.kind)
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-@pytest.mark.parametrize("d, chunk", [(1, None), (2, None), (3, None), (9, 7), (16, None), (50, None), (250, None)])
+@pytest.mark.parametrize("d, chunk", [(1, None), (2, None), (3, None), (9, 7), (5, 47), (16, None), (50, None),
+                                      (250, None)])
 def test_train_matches_reference_loop(d, chunk, topology, kernel):
-    # the slab-sum BMU, the weight table and the chunked draws change no bit
-    # of the trained codebook; N = 1 and N < K resample the initial rows, and
-    # a draw chunk of 7 splits the 60 steps
+    # the slab-sum BMU, the per-block weight tables and the chunked draws
+    # change no bit of the trained codebook; N = 1 and N < K resample the
+    # initial rows. A draw chunk of 7 splits the 60 steps and leaves one step
+    # per weight table (the 1x20 chain's 20 distances exceed it); a chunk of
+    # 47 gives tables of 7, 9 and 2 steps (3x4 rectangular, 3x4 hexagonal,
+    # chain), none of which divides the draw chunk, so tables and draws split
+    # at different steps. The chain's diameter, 19, is large relative to K.
     rng = np.random.default_rng(d)
     cases = [(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d), 4.0, n) for n in (1, 5, 40)]
     # every cyclic shift of v lies at the same exact distance from the
@@ -370,16 +395,32 @@ def test_train_matches_reference_loop(d, chunk, topology, kernel):
     # constant row out of the initial codebook (at D = 1 every row is the same)
     v = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, size=d)
     tied = np.array([np.roll(v, s) for s in range(12)] + [np.full(d, v.mean())])
+    cases = [case + (shape,) for shape in ((3, 4), (1, 20)) for case in cases]
     if d > 1:
         assert not (init_codebook(Dataset(tied), MapGrid(3, 4), 6).prototypes == tied[-1]).all(axis=1).any()
-        cases.append((tied, 0.5, 6))
-    for samples, t_max, seed in cases:
+        cases.append((tied, 0.5, 6, (3, 4)))
+    for samples, t_max, seed, shape in cases:
         data = Dataset(samples)
-        config = TrainerConfig(3, 4, topology, t_max=t_max, t_min=0.5, alpha=0.3, iterations=60, seed=seed,
+        config = TrainerConfig(*shape, topology, t_max=t_max, t_min=0.5, alpha=0.3, iterations=60, seed=seed,
                                kernel=kernel)
         with pytest.MonkeyPatch.context() as mp:
             if chunk:
                 mp.setattr(model, "_CHUNK", chunk)
+            trained = train_som(data, config)
+        assert trained.prototypes.tobytes() == train_som_reference(data, config).tobytes()
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, WINDOW], ids=lambda kernel: kernel.kind)
+def test_train_at_a_huge_temperature_matches_reference_loop(kernel):
+    # from T = 1e200 down to about 1e154 every kernel weight is exactly 1.0
+    # (T^2 is inf), so every unit moves by the full learning rate; the weight
+    # tables must not turn that T^2 into an overflow error or a warning
+    data = Dataset(np.random.default_rng(5).normal(size=(30, 3)))
+    for t_min in (1.0, 1e180):
+        config = TrainerConfig(3, 4, "hexagonal", t_max=1e200, t_min=t_min, alpha=0.3, iterations=80, seed=2,
+                               kernel=kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             trained = train_som(data, config)
         assert trained.prototypes.tobytes() == train_som_reference(data, config).tobytes()
 
@@ -404,6 +445,15 @@ def test_trainer_config_validation():
         TrainerConfig(2, 2, iterations=0)
     with pytest.raises(ValueError, match="grid dimensions"):
         TrainerConfig(0, 2)
+
+
+@pytest.mark.parametrize("name", ["t_max", "t_min", "alpha"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_trainer_config_refuses_non_finite_parameters(name, value):
+    # with an infinite t_max the last temperature is t_max * 0 = NaN, which
+    # must not be blamed on t_min; an infinite alpha would train NaN prototypes
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        TrainerConfig(2, 3, **{name: value})
 
 
 def test_trainer_config_refuses_t_min_the_gaussian_cannot_weigh():
