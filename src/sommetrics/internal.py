@@ -11,8 +11,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import GAUSSIAN, NeighborhoodKernel, _weights_by_distance, adjacency_pairs, distance_matrix
-from .model import (_BLOCK, CodeBook, Dataset, _check_dims, _overflow_is_an_error, _paired_squared_distances,
-                    _scope_request, _shared, bmu_distances, project, receptive_field_connectivity, squared_distances)
+from .model import (_BLOCK, CodeBook, Dataset, _check_dims, _evaluation, _overflow_is_an_error,
+                    _paired_squared_distances, _shared, bmu_distances, project, receptive_field_connectivity,
+                    squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -132,13 +133,15 @@ def _pair_sums(codebook: CodeBook, data: Dataset, own: tuple[int | None, bool, b
     Inside an evaluation that asks for them, the scan also serves every other
     pair metric the evaluation asks for whose checks pass, and runs once.
     """
-    metrics, k = _scope_request(codebook, data)
-    planned = (k if k is not None and metrics & {"trustworthiness", "neighborhood_preservation"}
-               and _passes(_check_order, data, k) else None,
-               "kruskal_shepard_error" in metrics and _passes(_check_kse, codebook, data),
-               "c_measure" in metrics and _passes(_check_samples, data, 2))
-    if all(not mine or mine == plan for mine, plan in zip(own, planned)):
-        own = planned  # the evaluation asks for this metric: one scan serves every one it asks for
+    evaluation = _evaluation(codebook, data)
+    if evaluation is not None:
+        metrics, k = evaluation.metrics, evaluation.k
+        planned = (k if k is not None and metrics & {"trustworthiness", "neighborhood_preservation"}
+                   and _passes(_check_order, data, k) else None,
+                   "kruskal_shepard_error" in metrics and _passes(_check_kse, codebook, data),
+                   "c_measure" in metrics and _passes(_check_samples, data, 2))
+        if all(not mine or mine == plan for mine, plan in zip(own, planned)):
+            own = planned  # the evaluation asks for this metric: one scan serves every one it asks for
     return _shared(codebook, data, ("pairs", *own), lambda: _pair_scan(codebook, data, *own))
 
 

@@ -228,56 +228,58 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
     return out
 
 
-# (codebook, data, results, (requested metric names, k)) of the evaluation that is running, or None
-_SCOPE: ContextVar[tuple[CodeBook, Dataset, dict, tuple] | None] = ContextVar("sommetrics_shared_results",
-                                                                             default=None)
+@dataclass
+class _Evaluation:
+    """The evaluation that is running: its operands, what it asks for, and the results it keeps."""
+
+    codebook: CodeBook
+    data: Dataset
+    metrics: frozenset
+    k: int | None
+    temperature: float | None
+    kernel: NeighborhoodKernel
+    results: dict = field(default_factory=dict)
+
+
+_SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_shared_results", default=None)
 
 
 @contextmanager
-def _shared_results(codebook: CodeBook, data: Dataset, metrics=(), k: int | None = None):
-    """Within the block, ``_shared`` keeps each result computed on these two objects.
+def _shared_results(codebook: CodeBook, data: Dataset, metrics=(), k: int | None = None,
+                    temperature: float | None = None, kernel: NeighborhoodKernel = GAUSSIAN):
+    """Within the block, ``_shared`` keeps each result computed on these two objects; yields the evaluation.
 
     ``metrics`` and ``k`` name what the evaluation will ask for, so that work
-    shared by several metrics can be done once for all of them.
+    shared by several metrics can be done once for all of them; ``temperature``
+    and ``kernel`` are distortion's parameters.
     """
-    token = _SCOPE.set((codebook, data, {}, (frozenset(metrics), k)))
+    evaluation = _Evaluation(codebook, data, frozenset(metrics), k, temperature, kernel)
+    token = _SCOPE.set(evaluation)
     try:
-        yield
+        yield evaluation
     finally:
         _SCOPE.reset(token)
 
 
-def _scope(codebook: CodeBook, data: Dataset) -> tuple | None:
-    """The running scope when it is over these very objects, else None."""
-    scope = _SCOPE.get()
-    if scope is None or scope[0] is not codebook or scope[1] is not data:
+def _evaluation(codebook: CodeBook, data: Dataset) -> _Evaluation | None:
+    """The running evaluation when it is over these very objects, else None."""
+    evaluation = _SCOPE.get()
+    if evaluation is None or evaluation.codebook is not codebook or evaluation.data is not data:
         return None
-    return scope
-
-
-def _scope_results(codebook: CodeBook, data: Dataset) -> dict | None:
-    """The results of the running scope when it is over these very objects, else None."""
-    scope = _scope(codebook, data)
-    return None if scope is None else scope[2]
-
-
-def _scope_request(codebook: CodeBook, data: Dataset) -> tuple[frozenset, int | None]:
-    """(requested metric names, k) of the running scope over these very objects; nothing outside one."""
-    scope = _scope(codebook, data)
-    return (frozenset(), None) if scope is None else scope[3]
+    return evaluation
 
 
 def _shared(codebook: CodeBook, data: Dataset, key, compute):
-    """``compute()``, computed once per ``key`` inside a scope over ``codebook`` and ``data``.
+    """``compute()``, computed once per ``key`` inside an evaluation over ``codebook`` and ``data``.
 
     Only results are kept: a ``compute`` that raises runs again on the next call.
     """
-    results = _scope_results(codebook, data)
-    if results is None:
+    evaluation = _evaluation(codebook, data)
+    if evaluation is None:
         return compute()
-    if key not in results:
-        results[key] = compute()
-    return results[key]
+    if key not in evaluation.results:
+        evaluation.results[key] = compute()
+    return evaluation.results[key]
 
 
 def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionIndex:
@@ -299,7 +301,7 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     K = codebook.n_units
     if not 1 <= depth <= K:
         raise ValueError(f"depth must be in 1..{K}, got {depth}")
-    if _scope_results(codebook, data) is None:
+    if _evaluation(codebook, data) is None:
         return ProjectionIndex(_rank_units(codebook, data, depth))
     ranks = _shared(codebook, data, "ranks", lambda: _rank_units(codebook, data, max(depth, min(2, K))))
     ranks.flags.writeable = False  # every metric of the evaluation gets a view of this one array
@@ -401,6 +403,8 @@ class TrainerConfig:
             raise ValueError(f"learning rate must be positive, got {self.alpha}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # the last step has the lowest temperature; train_som computes it as
         # t_max * ratio ** 1 and weighs map distances 0..diameter at it
         grid = self.grid  # an invalid grid raises its own error, outside the t_min message

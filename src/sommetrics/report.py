@@ -14,24 +14,15 @@ from .dataio import content_hash, load_labels, load_matrix
 from .errors import ConfigError, InputError
 from .grid import KERNEL_KINDS, TOPOLOGIES, MapGrid, NeighborhoodKernel
 from .internal import TopographicFunction
-from .model import CodeBook, Dataset, _shared_results, project
+from .model import CodeBook, Dataset, _Evaluation, _shared_results, project
 
 
 @dataclass(frozen=True)
 class MetricSpec:
-    compute: Callable[["EvaluationContext"], Any]
+    compute: Callable[[_Evaluation], Any]
     needs_labels: bool = False
     needs_k: bool = False
     needs_temperature: bool = False
-
-
-@dataclass
-class EvaluationContext:
-    codebook: CodeBook
-    data: Dataset
-    k: int | None
-    temperature: float | None
-    kernel: NeighborhoodKernel
 
 
 REGISTRY: dict[str, MetricSpec] = {
@@ -100,6 +91,8 @@ class EvaluationConfig:
             raise ConfigError(f"unknown kernel {self.kernel!r}; valid: {', '.join(KERNEL_KINDS)}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"map size must be positive, got {self.rows}x{self.cols}")
+        if self.temperature is not None and not np.isfinite(self.temperature):
+            raise ConfigError(f"temperature must be finite, got {self.temperature}")
         for name in self.metrics:
             spec = REGISTRY[name]
             if spec.needs_labels and self.labels_path is None:
@@ -201,15 +194,14 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             f"{data.n_samples}x{data.n_features}"
         )
 
-    ctx = EvaluationContext(codebook, data, config.k, config.temperature,
-                            NeighborhoodKernel(config.kernel))
     results: dict[str, Any] = {}
     failed: list[str] = []
     # one projection and one sample-pair scan for all metrics; the first metric that needs either pays for it
-    with _shared_results(codebook, data, config.metrics, config.k):
-        for name in config.metrics:
+    with _shared_results(codebook, data, config.metrics, config.k, config.temperature,
+                         NeighborhoodKernel(config.kernel)) as evaluation:
+        for name in dict.fromkeys(config.metrics):  # a repeated name is computed and reported once
             try:
-                value = REGISTRY[name].compute(ctx)
+                value = REGISTRY[name].compute(evaluation)
                 if isinstance(value, float) and not np.isfinite(value):
                     raise ValueError(f"non-finite result {value!r}")
                 results[name] = value

@@ -312,6 +312,19 @@ def test_evaluate_json_round_trip_preserves_floats(fixture_files):
     assert len(payload["inputs"]["data"]["sha256"]) == 64
 
 
+def test_evaluate_weighs_distortion_with_the_requested_kernel(fixture_files):
+    codebook_path, data_path, _, coords, samples, _ = fixture_files
+    cb, data = sm.CodeBook(coords, sm.MapGrid(3, 3)), sm.Dataset(samples)
+    values = {}
+    for kernel in ("gaussian", "window"):
+        config = EvaluationConfig(codebook_path=str(codebook_path), data_path=str(data_path), rows=3, cols=3,
+                                  metrics=("distortion",), temperature=1.5, kernel=kernel)
+        values[kernel] = evaluate(config).metrics["distortion"]
+    assert values["window"] == sm.distortion(cb, data, 1.5, sm.WINDOW)  # bit for bit
+    assert values["gaussian"] == sm.distortion(cb, data, 1.5, sm.GAUSSIAN)
+    assert values["window"] != values["gaussian"]
+
+
 # ---------------------------------------------------------------------------
 # CLI: evaluate
 # ---------------------------------------------------------------------------
@@ -468,6 +481,37 @@ def test_cli_evaluate_tiny_temperature_is_one_error_line(fixture_files, tmp_path
     assert "temperature 1e-170" in json.loads(out.read_text())["metrics"]["distortion"]["error"]
 
 
+def test_cli_evaluate_computes_and_names_a_repeated_metric_once(runner, fixture_files, monkeypatch):
+    codebook_path, data_path, _, _, _, _ = fixture_files
+    calls = []
+    trustworthiness = sm.internal.trustworthiness
+
+    def counting_trustworthiness(*args):
+        calls.append(args)
+        return trustworthiness(*args)
+
+    monkeypatch.setattr(sm.internal, "trustworthiness", counting_trustworthiness)
+    for k, code in (("2", 0), ("30", 3)):  # k=30 is too large for N=36
+        once, twice = (runner.invoke(main, _evaluate_args(codebook_path, data_path, metrics, ["--k", k]))
+                       for metrics in ("trustworthiness,quantization_error",
+                                       "trustworthiness,quantization_error,trustworthiness"))
+        assert once.exit_code == twice.exit_code == code
+        assert twice.stdout == once.stdout and twice.stderr == once.stderr
+    assert len(calls) == 4  # once per evaluation
+    assert twice.stderr.splitlines() == ["error: computation: metric(s) failed: trustworthiness"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_evaluate_non_finite_temperature_is_one_config_line(runner, fixture_files, value):
+    # the report would carry NaN or Infinity, which are not JSON
+    codebook_path, data_path, _, _, _, _ = fixture_files
+    result = runner.invoke(main, _evaluate_args(codebook_path, data_path, "quantization_error",
+                                                ["--temperature", value]))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: config: temperature must be finite, got {value}"]
+
+
 def test_cli_evaluate_deterministic(runner, fixture_files):
     codebook_path, data_path, labels_path, _, _, _ = fixture_files
     args = _evaluate_args(codebook_path, data_path,
@@ -602,6 +646,17 @@ def test_cli_train_bad_config_exits_2(runner, tmp_path):
     ])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: config:")
+
+
+def test_cli_train_negative_seed_is_one_config_line(runner, tmp_path):
+    data, out = tmp_path / "data.csv", tmp_path / "cb.csv"
+    save_matrix(data, np.random.default_rng(0).random((10, 2)))
+    result = runner.invoke(main, [
+        "train", "--data", str(data), "--rows", "2", "--cols", "2", "--seed", "-1", "--out", str(out),
+    ])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["error: config: seed must be non-negative, got -1"]
+    assert not out.exists()
 
 
 def test_cli_train_missing_data_exits_1(runner, tmp_path):

@@ -255,6 +255,32 @@ def test_project_depth_one_is_first_column_of_depth_two(duplicates, scale, offse
         assert np.array_equal(project(cb, data, depth=1).bmu, bmu)
 
 
+def test_project_in_an_evaluation_equals_direct_calls_at_every_depth(monkeypatch):
+    # the first call keeps depth-2 ranks; depth 1 and depth 2 read them, and
+    # depth 3, deeper than kept, ranks anew; integer lattices tie often
+    rng = np.random.default_rng(8)
+    cb = CodeBook(rng.integers(-2, 3, (6, 2)).astype(float), MapGrid(2, 3))
+    data = Dataset(rng.integers(-3, 4, (50, 2)).astype(float))
+    direct = {depth: project(cb, data, depth=depth).bmu_ranks for depth in (1, 2, 3)}
+    depths = []
+    rank_units = model._rank_units
+
+    def counting_rank_units(codebook, data, depth):
+        depths.append(depth)
+        return rank_units(codebook, data, depth)
+
+    monkeypatch.setattr(model, "_rank_units", counting_rank_units)
+    with model._shared_results(cb, data) as evaluation:
+        for depth in (1, 3, 2):
+            ranks = project(cb, data, depth=depth).bmu_ranks
+            assert ranks.dtype == direct[depth].dtype and np.array_equal(ranks, direct[depth]), depth
+        shared = evaluation.results["ranks"]
+        assert shared.shape == (50, 2) and not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            project(cb, data, depth=1).bmu_ranks[0] = 0
+    assert depths == [2, 3]
+
+
 def test_project_depth_k_memory_is_bounded():
     # 30x30, D=16: two gathered (B*K) x D copies alone would be 61 MiB.
     # 10x10, D=1, N=20000: the ranks are 15 MiB; index arrays for blocks
@@ -445,6 +471,8 @@ def test_trainer_config_validation():
         TrainerConfig(2, 2, iterations=0)
     with pytest.raises(ValueError, match="grid dimensions"):
         TrainerConfig(0, 2)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        TrainerConfig(2, 2, seed=-1)
 
 
 @pytest.mark.parametrize("name", ["t_max", "t_min", "alpha"])
