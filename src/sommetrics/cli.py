@@ -121,6 +121,8 @@ def train_cmd(data_path, rows, cols, topology, tmax, tmin, alpha, iters, seed, o
 @click.option("--seed", default=0, type=int, show_default=True)
 def demo_cmd(experiment, outdir, seed) -> None:
     """Reproduce one of the reference experiments."""
+    if seed < 0:
+        _fail("config", f"seed must be non-negative, got {seed}", 2)
     try:
         Path(outdir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -13,15 +13,9 @@ import numpy as np
 
 from .figures import render_map_svg
 from .grid import MapGrid
-from .internal import (
-    combined_error,
-    c_measure,
-    kruskal_shepard_error,
-    quantization_error,
-    topographic_error,
-    topographic_function,
-)
-from .model import CodeBook, Dataset, TrainerConfig, _shared_results, train_som
+from .internal import topographic_function
+from .model import CodeBook, Dataset, TrainerConfig, train_som
+from .report import _computations
 
 # Fraction of unit pairs whose prototypes get swapped for the medium map.
 _MEDIUM_SWAP_FRACTION = 0.25
@@ -49,31 +43,18 @@ def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 # Table columns of each demo, in order: the four indices that track organization, and the stripe trade-off.
-_ORGANIZATION_METRICS = {
-    "topographic_error": topographic_error,
-    "combined_error": combined_error,
-    "kruskal_shepard_error": kruskal_shepard_error,
-    "c_measure": c_measure,
-}
-_STRIPE_METRICS = {
-    "quantization_error": quantization_error,
-    "topographic_error": topographic_error,
-    "combined_error": combined_error,
-}
+_ORGANIZATION_METRICS = ("topographic_error", "combined_error", "kruskal_shepard_error", "c_measure")
+_STRIPE_METRICS = ("quantization_error", "topographic_error", "combined_error")
 
 
-def _score_map(codebook: CodeBook, data: Dataset, metrics: dict) -> dict[str, float]:
-    """Every metric of ``metrics`` on one map, in order.
-
-    The metrics run in one scope that names them, so the projection and the
-    sample-pair scan are computed once for all of them.
-    """
-    with _shared_results(codebook, data, metrics):
-        return {metric: fn(codebook, data) for metric, fn in metrics.items()}
+def _score_map(codebook: CodeBook, data: Dataset, metrics) -> dict[str, float]:
+    """Every registry metric named in ``metrics`` on one map, in order, computed as ``evaluate`` does."""
+    with _computations(codebook, data, metrics) as computations:
+        return {name: compute() for name, compute in computations.items()}
 
 
 def _score_maps(outdir: Path, prefix: str, first_column: str, maps: dict[str, CodeBook],
-                data: Dataset, metrics: dict) -> dict:
+                data: Dataset, metrics) -> dict:
     """Score and draw each map in order, then tabulate the scores as ``<prefix>_metrics.csv``."""
     scores: dict[str, dict[str, float]] = {}
     files = []

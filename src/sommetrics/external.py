@@ -19,6 +19,15 @@ def _as_assignments(values, name: str) -> np.ndarray:
     return arr
 
 
+def _dense_ids(values, name: str) -> np.ndarray:
+    """The ids of ``values`` renumbered 0, 1, ... in sorted order over the ids that occur.
+
+    A table over them grows with the number of distinct ids, not with the
+    largest one.
+    """
+    return np.unique(_as_assignments(values, name), return_inverse=True)[1]
+
+
 def contingency_table(assignments, labels, n_clusters: int | None = None,
                       n_classes: int | None = None) -> np.ndarray:
     """K x C matrix of co-occurrence counts between cluster and class ids."""
@@ -35,7 +44,7 @@ def contingency_table(assignments, labels, n_clusters: int | None = None,
 
 def purity(assignments, labels) -> float:
     """Fraction of samples matching their cluster's majority class."""
-    counts = contingency_table(assignments, labels)
+    counts = contingency_table(_dense_ids(assignments, "assignments"), _dense_ids(labels, "labels"))
     return float(counts.max(axis=1).sum() / counts.sum())
 
 
@@ -46,13 +55,14 @@ def clustering_accuracy(assignments, labels) -> float:
     table; when the id counts differ, the surplus clusters or classes stay
     unmatched. Every count is shifted by 1 so that each (cluster, class) pair
     is an edge; every full matching has min(K, C) edges, so the shift adds the
-    same amount to each and leaves the optimum unchanged.
+    same amount to each and leaves the optimum unchanged. Ids that occur in no
+    sample only add zero-count edges, so they are left out of the table.
     """
     # scipy loads on first use, so that importing the package and training do not pay for it
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    counts = contingency_table(assignments, labels)
+    counts = contingency_table(_dense_ids(assignments, "assignments"), _dense_ids(labels, "labels"))
     rows, cols = min_weight_full_bipartite_matching(csr_array(counts + 1.0), maximize=True)
     return float(counts[rows, cols].sum() / counts.sum())
 
@@ -71,15 +81,12 @@ def class_scatter_index(codebook: CodeBook, data: Dataset) -> float:
 
     For each class, units holding at least one sample of that class are
     marked and their connected components counted; 1.0 means every class sits
-    in a single blob. Classes without samples are excluded from the average.
+    in a single blob. Classes without samples are excluded from the average:
+    the class ids are renumbered over those that occur.
     """
     if data.labels is None:
         raise ValueError("class scatter index requires labels")
     bmus = project(codebook, data, depth=1).bmu
-    counts = contingency_table(bmus, data.labels, n_clusters=codebook.n_units)
-    groups = []
-    for j in range(counts.shape[1]):
-        marked = np.flatnonzero(counts[:, j] > 0)
-        if marked.size:
-            groups.append(_component_count(codebook.grid, marked))
+    counts = contingency_table(bmus, _dense_ids(data.labels, "labels"), n_clusters=codebook.n_units)
+    groups = [_component_count(codebook.grid, np.flatnonzero(counts[:, j] > 0)) for j in range(counts.shape[1])]
     return float(np.mean(groups))

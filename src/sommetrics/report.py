@@ -4,7 +4,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -165,6 +167,19 @@ def _fingerprint(matrix: np.ndarray) -> dict[str, Any]:
     }
 
 
+@contextmanager
+def _computations(codebook: CodeBook, data: Dataset, metrics, k: int | None = None,
+                  temperature: float | None = None, kernel: str = "gaussian"):
+    """Yields ``{name: compute}`` for each distinct name of ``metrics``, in order of first occurrence.
+
+    Every ``compute()`` runs in one evaluation scope over ``codebook`` and
+    ``data``, so the projection and the sample-pair scan are done once for all
+    of the metrics; the first metric that needs either pays for it.
+    """
+    with _shared_results(codebook, data, metrics, k, temperature, NeighborhoodKernel(kernel)) as evaluation:
+        yield {name: partial(REGISTRY[name].compute, evaluation) for name in dict.fromkeys(metrics)}
+
+
 def evaluate(config: EvaluationConfig) -> MetricReport:
     """Load inputs, compute the requested metrics, and assemble the report.
 
@@ -196,12 +211,11 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
 
     results: dict[str, Any] = {}
     failed: list[str] = []
-    # one projection and one sample-pair scan for all metrics; the first metric that needs either pays for it
-    with _shared_results(codebook, data, config.metrics, config.k, config.temperature,
-                         NeighborhoodKernel(config.kernel)) as evaluation:
-        for name in dict.fromkeys(config.metrics):  # a repeated name is computed and reported once
+    with _computations(codebook, data, config.metrics, config.k, config.temperature,
+                       config.kernel) as computations:
+        for name, compute in computations.items():
             try:
-                value = REGISTRY[name].compute(evaluation)
+                value = compute()
                 if isinstance(value, float) and not np.isfinite(value):
                     raise ValueError(f"non-finite result {value!r}")
                 results[name] = value

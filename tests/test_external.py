@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,17 @@ def test_purity_uniform_labels():
 def test_purity_length_mismatch():
     with pytest.raises(ValueError):
         purity(np.array([0, 1]), np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("fn", [purity, clustering_accuracy, contingency_table])
+@pytest.mark.parametrize("assignments, labels, message", [
+    (np.array([0.0, 1.0]), np.array([0, 1]), "assignments must be integer ids"),
+    (np.array([0, 1]), np.array([-1, 1]), "labels must be nonnegative ids"),
+    (np.array([], dtype=np.int64), np.array([], dtype=np.int64), "assignments must be nonempty"),
+])
+def test_id_arrays_are_checked_before_counting(fn, assignments, labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(assignments, labels)
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,3 +187,34 @@ def test_accuracy_and_purity_equal_one_on_matching_partitions():
             assignments = np.array([perm[y] for y in labels])
             assert clustering_accuracy(assignments, labels) == 1.0
             assert purity(assignments, labels) == 1.0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_ids_cost_what_the_distinct_ids_cost():
+    # one label of 100,000 and cluster ids spread out threefold: the tables
+    # span the ids that occur, so the peaks stay small and the values equal
+    # those of the same ids renumbered 0, 1, ...
+    rng = np.random.default_rng(3)
+    samples = rng.random((200, 2))
+    labels = rng.integers(0, 3, 200)
+    labels[0] = 100_000
+    dense_labels = np.unique(labels, return_inverse=True)[1]
+    cb = CodeBook(rng.random((9, 2)), MapGrid(3, 3))
+    assignments = rng.integers(0, 9, 200)
+    clustering_accuracy(assignments, dense_labels)  # scipy's import is not the metric's memory
+    for fn, sparse, dense in [
+        (purity, (assignments * 3, labels), (assignments, dense_labels)),
+        (clustering_accuracy, (assignments * 3, labels), (assignments, dense_labels)),
+        (class_scatter_index, (cb, Dataset(samples, labels)), (cb, Dataset(samples, dense_labels))),
+    ]:
+        value, peak = _traced_peak(lambda: fn(*sparse))
+        assert peak < 1 << 20, (fn.__name__, peak)
+        assert value == fn(*dense)

@@ -512,6 +512,42 @@ def test_cli_evaluate_non_finite_temperature_is_one_config_line(runner, fixture_
     assert result.stderr.splitlines() == [f"error: config: temperature must be finite, got {value}"]
 
 
+@pytest.mark.parametrize("metrics, extra, line", [
+    (",", [], "error: config: no metrics requested"),
+    ("trustworthiness", [], "error: config: metric trustworthiness requires the neighborhood order k (--k)"),
+    ("distortion", [], "error: config: metric distortion requires a temperature (--temperature)"),
+    ("quantization_error", ["--rows", "0"], "error: config: map size must be positive, got 0x3"),
+])
+def test_cli_evaluate_config_contract_is_one_line(runner, fixture_files, metrics, extra, line):
+    codebook_path, data_path, _, _, _, _ = fixture_files
+    result = runner.invoke(main, _evaluate_args(codebook_path, data_path, metrics, extra))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [line]
+
+
+def test_cli_evaluate_empty_data_file_is_one_input_line(runner, fixture_files, tmp_path):
+    codebook_path, _, _, _, _, _ = fixture_files
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n  \n")
+    result = runner.invoke(main, _evaluate_args(codebook_path, empty, "quantization_error"))
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"error: input: {empty}: file holds no data rows"]
+
+
+def test_cli_evaluate_csv_names_a_failed_metric_in_its_row(runner, fixture_files):
+    codebook_path, data_path, _, _, _, _ = fixture_files
+    result = runner.invoke(main, _evaluate_args(
+        codebook_path, data_path, "trustworthiness,quantization_error", ["--k", "30", "--format", "csv"]))
+    assert result.exit_code == 3
+    rows = result.stdout.splitlines()
+    assert rows[0] == "metric,value"
+    # the csv module quotes the reason, which holds a comma
+    assert rows[1] == 'trustworthiness,"error:ValueError: neighborhood order k must satisfy 1 <= k < N/2 = 18.0, got 30"'
+    assert rows[2].startswith("quantization_error,") and float(rows[2].split(",")[1]) >= 0
+    assert result.stderr.splitlines() == ["error: computation: metric(s) failed: trustworthiness"]
+
+
 def test_cli_evaluate_deterministic(runner, fixture_files):
     codebook_path, data_path, labels_path, _, _, _ = fixture_files
     args = _evaluate_args(codebook_path, data_path,
@@ -725,6 +761,14 @@ def test_cli_demo_tf1d_series(runner, tmp_path):
     assert ks == list(range(1, 26))
 
 
+def test_cli_demo_negative_seed_is_one_config_line(runner, tmp_path):
+    outdir = tmp_path / "out"
+    result = runner.invoke(main, ["demo", "--experiment", "square", "--outdir", str(outdir), "--seed", "-1"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["error: config: seed must be non-negative, got -1"]
+    assert not outdir.exists()
+
+
 def test_run_demo_unknown_experiment_names_the_valid_ones(tmp_path):
     with pytest.raises(ValueError, match="unknown experiment 'nope'; valid: square, tf1d, stripe"):
         run_demo("nope", tmp_path / "x")
@@ -741,7 +785,7 @@ def test_score_maps_runs_one_pair_scan_per_map(tmp_path, monkeypatch):
     result = _score_maps(tmp_path, "t", "map", maps, data, _ORGANIZATION_METRICS)
     assert scans == [(None, True, True)] * len(maps)
     for name, cb in maps.items():
-        assert result["metrics"][name] == {metric: fn(cb, data) for metric, fn in _ORGANIZATION_METRICS.items()}
+        assert result["metrics"][name] == {metric: getattr(sm, metric)(cb, data) for metric in _ORGANIZATION_METRICS}
 
 
 def test_cli_import_leaves_out_scipy_optimize():
