@@ -30,14 +30,26 @@ def _dense_ids(values, name: str) -> np.ndarray:
 
 def contingency_table(assignments, labels, n_clusters: int | None = None,
                       n_classes: int | None = None) -> np.ndarray:
-    """K x C matrix of co-occurrence counts between cluster and class ids."""
+    """K x C matrix of co-occurrence counts between cluster and class ids.
+
+    Rows and columns are indexed by the raw ids, so the table has one row per
+    id up to the largest assignment and one column per id up to the largest
+    label, unless ``n_clusters`` or ``n_classes`` asks for more; a size that
+    leaves out the largest id raises ``ValueError``. Purity and clustering
+    accuracy first renumber both id arrays over the ids that occur, and the
+    class scatter index its labels, so sparse ids cost them nothing.
+    """
     a = _as_assignments(assignments, "assignments")
     y = _as_assignments(labels, "labels")
     if a.shape[0] != y.shape[0]:
         raise ValueError(f"length mismatch: {a.shape[0]} assignments vs {y.shape[0]} labels")
-    k = int(a.max()) + 1 if n_clusters is None else n_clusters
-    c = int(y.max()) + 1 if n_classes is None else n_classes
-    counts = np.zeros((k, c), dtype=np.int64)
+    shape = []
+    for name, ids, size in (("n_clusters", a, n_clusters), ("n_classes", y, n_classes)):
+        largest = int(ids.max())
+        if size is not None and size <= largest:
+            raise ValueError(f"{name}={size} is too small for the largest id, {largest}")
+        shape.append(largest + 1 if size is None else size)
+    counts = np.zeros(shape, dtype=np.int64)
     np.add.at(counts, (a, y), 1)
     return counts
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .grid import GAUSSIAN, NeighborhoodKernel, _weights_by_distance, adjacency_pairs, distance_matrix
 from .model import (_BLOCK, CodeBook, Dataset, _check_dims, _evaluation, _overflow_is_an_error,
-                    _paired_squared_distances, _shared, bmu_distances, project, receptive_field_connectivity,
+                    _paired_squared_distances, bmu_distances, project, receptive_field_connectivity,
                     squared_distances)
 
 
@@ -130,19 +130,23 @@ def _passes(check, *args) -> bool:
 def _pair_sums(codebook: CodeBook, data: Dataset, own: tuple[int | None, bool, bool]) -> _PairSums:
     """The scan for the consumers ``own`` = (trust/NP order, KSE, C), which the caller has checked.
 
-    Inside an evaluation that asks for them, the scan also serves every other
-    pair metric the evaluation asks for whose checks pass, and runs once.
+    Inside an evaluation that asks for them, one scan serves every pair metric
+    the evaluation asks for whose checks pass; it runs once and is kept.
+    Consumers the evaluation does not ask for are scanned on their own.
     """
     evaluation = _evaluation(codebook, data)
-    if evaluation is not None:
-        metrics, k = evaluation.metrics, evaluation.k
-        planned = (k if k is not None and metrics & {"trustworthiness", "neighborhood_preservation"}
-                   and _passes(_check_order, data, k) else None,
-                   "kruskal_shepard_error" in metrics and _passes(_check_kse, codebook, data),
-                   "c_measure" in metrics and _passes(_check_samples, data, 2))
-        if all(not mine or mine == plan for mine, plan in zip(own, planned)):
-            own = planned  # the evaluation asks for this metric: one scan serves every one it asks for
-    return _shared(codebook, data, ("pairs", *own), lambda: _pair_scan(codebook, data, *own))
+    if evaluation is None:
+        return _pair_scan(codebook, data, *own)
+    metrics, k = evaluation.metrics, evaluation.k
+    planned = (k if k is not None and metrics & {"trustworthiness", "neighborhood_preservation"}
+               and _passes(_check_order, data, k) else None,
+               "kruskal_shepard_error" in metrics and _passes(_check_kse, codebook, data),
+               "c_measure" in metrics and _passes(_check_samples, data, 2))
+    if any(mine and mine != plan for mine, plan in zip(own, planned)):
+        return _pair_scan(codebook, data, *own)  # not in the plan: scanned alone, not kept
+    if evaluation.pairs is None:
+        evaluation.pairs = _pair_scan(codebook, data, *planned)
+    return evaluation.pairs
 
 
 def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: bool) -> _PairSums:

@@ -238,7 +238,8 @@ class _Evaluation:
     k: int | None
     temperature: float | None
     kernel: NeighborhoodKernel
-    results: dict = field(default_factory=dict)
+    ranks: np.ndarray | None = None  # read-only depth-min(2, K) ranks of project
+    pairs: tuple | None = None  # the planned scan of internal._pair_sums
 
 
 _SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_shared_results", default=None)
@@ -247,7 +248,7 @@ _SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_shared_results",
 @contextmanager
 def _shared_results(codebook: CodeBook, data: Dataset, metrics=(), k: int | None = None,
                     temperature: float | None = None, kernel: NeighborhoodKernel = GAUSSIAN):
-    """Within the block, ``_shared`` keeps each result computed on these two objects; yields the evaluation.
+    """Within the block, the projection and the pair scan of these two objects are kept; yields the evaluation.
 
     ``metrics`` and ``k`` name what the evaluation will ask for, so that work
     shared by several metrics can be done once for all of them; ``temperature``
@@ -269,19 +270,6 @@ def _evaluation(codebook: CodeBook, data: Dataset) -> _Evaluation | None:
     return evaluation
 
 
-def _shared(codebook: CodeBook, data: Dataset, key, compute):
-    """``compute()``, computed once per ``key`` inside an evaluation over ``codebook`` and ``data``.
-
-    Only results are kept: a ``compute`` that raises runs again on the next call.
-    """
-    evaluation = _evaluation(codebook, data)
-    if evaluation is None:
-        return compute()
-    if key not in evaluation.results:
-        evaluation.results[key] = compute()
-    return evaluation.results[key]
-
-
 def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionIndex:
     """Rank map units by distance to each sample, truncated to ``depth``.
 
@@ -293,21 +281,23 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     The bound holds for any summation order and with fused multiply-add, so
     neither the BLAS library nor its thread count can change the ranks.
 
-    Within an evaluation, the first call ranks at least two units and later
-    calls up to that depth read its leading columns: the ranking is exact, so
-    they are the ranks a shallower call would compute.
+    Within an evaluation, a call at depth 1 or 2 reads the leading columns of
+    one read-only ranking of depth ``min(2, K)``, made on first need: the
+    ranking is exact, so they are the ranks a shallower call would compute. A
+    deeper call ranks on its own, and its ranks are not kept.
     """
     _check_dims(codebook, data)
     K = codebook.n_units
     if not 1 <= depth <= K:
         raise ValueError(f"depth must be in 1..{K}, got {depth}")
-    if _evaluation(codebook, data) is None:
+    evaluation = _evaluation(codebook, data)
+    if evaluation is None or depth > 2:
         return ProjectionIndex(_rank_units(codebook, data, depth))
-    ranks = _shared(codebook, data, "ranks", lambda: _rank_units(codebook, data, max(depth, min(2, K))))
-    ranks.flags.writeable = False  # every metric of the evaluation gets a view of this one array
-    if ranks.shape[1] < depth:
-        ranks = _rank_units(codebook, data, depth)
-    return ProjectionIndex(ranks[:, :depth])
+    if evaluation.ranks is None:
+        ranks = _rank_units(codebook, data, min(2, K))
+        ranks.flags.writeable = False  # every metric of the evaluation gets a view of this one array
+        evaluation.ranks = ranks
+    return ProjectionIndex(evaluation.ranks[:, :depth])
 
 
 def _rank_units(codebook: CodeBook, data: Dataset, depth: int) -> np.ndarray:

@@ -167,6 +167,14 @@ def _fingerprint(matrix: np.ndarray) -> dict[str, Any]:
     }
 
 
+def _from_file(path, make, *args):
+    """``make(*args)``, its ``ValueError`` turned into an ``InputError`` naming ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 @contextmanager
 def _computations(codebook: CodeBook, data: Dataset, metrics, k: int | None = None,
                   temperature: float | None = None, kernel: str = "gaussian"):
@@ -197,11 +205,10 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             f"codebook {config.codebook_path} has {protos.shape[0]} rows but the "
             f"{config.rows}x{config.cols} grid has {grid.n_units} units"
         )
-    try:
-        codebook = CodeBook(protos, grid)
-        data = Dataset(samples, labels)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    codebook = _from_file(config.codebook_path, CodeBook, protos, grid)
+    data = _from_file(config.data_path, Dataset, samples)
+    if labels is not None:
+        data = _from_file(config.labels_path, Dataset, data.samples, labels)
     if codebook.n_features != data.n_features:
         raise InputError(
             f"dimension mismatch: codebook {config.codebook_path} is "

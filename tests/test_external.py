@@ -25,6 +25,17 @@ def test_contingency_table_counts():
     assert counts.sum() == 4
 
 
+def test_contingency_table_refuses_a_size_below_the_largest_id():
+    for sizes, message in (({"n_clusters": 2}, "n_clusters=2 is too small for the largest id, 5"),
+                           ({"n_classes": 2}, "n_classes=2 is too small for the largest id, 3"),
+                           ({"n_clusters": 5}, "n_clusters=5 is too small for the largest id, 5")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            contingency_table([5], [3], **sizes)
+    # rows and columns are the raw ids: a larger size adds empty ones
+    assert contingency_table([0], [3], n_clusters=2).tolist() == [[0, 0, 0, 1], [0, 0, 0, 0]]
+    assert contingency_table([1], [0], n_clusters=3, n_classes=2).tolist() == [[0, 0], [1, 0], [0, 0]]
+
+
 def test_purity_one_sample_per_unit():
     n = 8
     assignments = np.arange(n)

@@ -331,6 +331,22 @@ def test_pair_metrics_do_not_depend_on_block_size(monkeypatch, topology, seed):
         assert direct[3] == pytest.approx(cm, rel=1e-12)
 
 
+def test_pair_metric_with_another_k_in_a_scope_is_scanned_alone():
+    # the scope keeps only the planned scan; a trust call with another k
+    # scans on its own and leaves the kept scan as it was
+    cb, data = random_instance(12, n=30)
+    direct = trustworthiness(cb, data, 3)
+    with _shared_results(cb, data, PAIR_METRICS, 2) as evaluation:
+        assert trustworthiness(cb, data, 3) == direct
+        assert evaluation.pairs is None
+        planned = _pair_values(cb, data, 2)
+        kept = evaluation.pairs
+        assert kept is not None
+        assert trustworthiness(cb, data, 3) == direct
+        assert evaluation.pairs is kept
+        assert _pair_values(cb, data, 2) == planned
+
+
 def test_trust_memory_is_bounded_by_the_block(monkeypatch):
     monkeypatch.setattr(internal, "_BLOCK", 16)
     rng = np.random.default_rng(4)
@@ -447,6 +463,12 @@ def test_tf_normalization_undefined_for_tiny_maps():
     assert topographic_function(cb, data).normalized_tf is None
     cb = CodeBook(rng.random((4, 2)), MapGrid(2, 2))  # K < 3**2
     assert topographic_function(cb, data).normalized_tf is None
+
+
+def test_tf_refuses_a_radius_below_one():
+    cb, data = random_instance(11)
+    with pytest.raises(ValueError, match="^k_max must be >= 1, got 0$"):
+        topographic_function(cb, data, k_max=0)
 
 
 @settings(max_examples=25, deadline=None)

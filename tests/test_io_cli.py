@@ -15,7 +15,7 @@ from sommetrics.dataio import load_labels, load_matrix, save_matrix
 from sommetrics.demos import _ORGANIZATION_METRICS, _score_maps, run_demo
 from sommetrics.errors import InputError
 from sommetrics.figures import render_map_svg
-from sommetrics.report import EvaluationConfig, evaluate
+from sommetrics.report import EvaluationConfig, _jsonable, evaluate
 
 
 @pytest.fixture
@@ -296,6 +296,50 @@ def test_evaluate_kse_alone_runs_no_trust_work(fixture_files, monkeypatch):
         sm.CodeBook(coords, sm.MapGrid(3, 3)), sm.Dataset(samples))
 
 
+def _direct_report_entry(name, cb, data, k, temperature):
+    """``evaluate``'s entry for any metric from a direct call: its value, or the entry of its error."""
+    calls = {
+        "distortion": lambda: sm.distortion(cb, data, temperature),
+        "trustworthiness": lambda: sm.trustworthiness(cb, data, k),
+        "neighborhood_preservation": lambda: sm.neighborhood_preservation(cb, data, k),
+        "topographic_product": lambda: sm.topographic_product(cb),
+        "purity": lambda: sm.purity(sm.project(cb, data, depth=1).bmu, data.labels),
+        "clustering_accuracy": lambda: sm.clustering_accuracy(sm.project(cb, data, depth=1).bmu, data.labels),
+    }
+    try:
+        return calls.get(name, lambda: getattr(sm, name)(cb, data))()
+    except ValueError as exc:
+        return {"error": f"ValueError: {exc}"}
+
+
+@pytest.mark.parametrize("case, scans_expected, failed", [
+    ("one_unit_map", [(2, False, True)], ["topographic_error", "combined_error", "topographic_product",
+                                          "topographic_function", "kruskal_shepard_error"]),
+    ("one_sample", [], list(PAIR_METRICS)),
+])
+def test_evaluate_all_metrics_on_degenerate_inputs_equal_direct_calls(tmp_path, monkeypatch, case, scans_expected,
+                                                                      failed):
+    # a one-unit map fails every metric that needs two units or a diameter;
+    # one sample fails every pair metric, so no pair scan runs at all
+    rng = np.random.default_rng(21)
+    rows, n = (1, 7) if case == "one_unit_map" else (3, 1)
+    protos, samples, labels = rng.normal(size=(rows * rows, 2)), rng.normal(size=(n, 2)), rng.integers(0, 3, n)
+    paths = [tmp_path / name for name in ("codebook.csv", "data.csv", "labels.txt")]
+    save_matrix(paths[0], protos)
+    save_matrix(paths[1], samples)
+    paths[2].write_text("\n".join(map(str, labels)) + "\n")
+    scans = _count_pair_scans(monkeypatch)
+    report = evaluate(EvaluationConfig(codebook_path=str(paths[0]), data_path=str(paths[1]),
+                                       labels_path=str(paths[2]), rows=rows, cols=rows,
+                                       metrics=sm.METRIC_NAMES, k=2, temperature=0.5))
+    assert scans == scans_expected
+    cb, data = sm.CodeBook(protos, sm.MapGrid(rows, rows)), sm.Dataset(samples, labels)
+    for name in sm.METRIC_NAMES:
+        entry = _direct_report_entry(name, cb, data, 2, 0.5)
+        assert _jsonable(report.metrics[name]) == _jsonable(entry), name  # bit for bit
+    assert report.failed == failed
+
+
 def test_evaluate_json_round_trip_preserves_floats(fixture_files):
     codebook_path, data_path, _, _, _, _ = fixture_files
     config = EvaluationConfig(
@@ -535,6 +579,32 @@ def test_cli_evaluate_empty_data_file_is_one_input_line(runner, fixture_files, t
     assert result.stderr.splitlines() == [f"error: input: {empty}: file holds no data rows"]
 
 
+@pytest.mark.parametrize("bad, reason", [
+    ("data", "samples contain non-finite values"),
+    ("codebook", "prototypes contain non-finite values"),
+    ("labels_length", "labels length 3 does not match sample count 4"),
+    ("labels_sign", "labels must be nonnegative class ids"),
+])
+def test_cli_evaluate_unusable_file_contents_name_the_file(runner, fixture_files, tmp_path, bad, reason):
+    codebook_path, _, _, coords, _, _ = fixture_files
+    data_path, labels_path = tmp_path / "four.csv", tmp_path / "four.txt"
+    samples, labels = coords[:4].copy(), ["0", "1", "2", "0"]
+    if bad == "data":
+        samples[2, 1], named = np.nan, data_path
+    elif bad == "codebook":
+        codebook_path = named = tmp_path / "inf.csv"
+        save_matrix(codebook_path, np.where(coords == 2.0, np.inf, coords))
+    elif bad == "labels_length":
+        labels, named = labels[:3], labels_path
+    else:
+        labels[1], named = "-1", labels_path
+    save_matrix(data_path, samples)
+    labels_path.write_text("\n".join(labels) + "\n")
+    result = runner.invoke(main, _evaluate_args(codebook_path, data_path, "purity", ["--labels", str(labels_path)]))
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"error: input: {named}: {reason}"]
+
+
 def test_cli_evaluate_csv_names_a_failed_metric_in_its_row(runner, fixture_files):
     codebook_path, data_path, _, _, _, _ = fixture_files
     result = runner.invoke(main, _evaluate_args(
@@ -713,6 +783,33 @@ def test_cli_train_non_finite_data_is_input_error(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert result.stderr.startswith("error: input:")
+
+
+@pytest.mark.parametrize("case", ["evaluate_out_is_a_directory", "train_out_is_a_directory",
+                                  "demo_outdir_is_a_file", "demo_output_is_a_directory"])
+def test_cli_write_failures_are_one_input_line(runner, fixture_files, tmp_path, case):
+    codebook_path, data_path, _, _, _, _ = fixture_files
+    taken = tmp_path / "taken"
+    if case == "evaluate_out_is_a_directory":
+        taken.mkdir()
+        args = [*_evaluate_args(codebook_path, data_path, "quantization_error"), "--out", str(taken)]
+        prefix = f"error: input: cannot write {taken}: "
+    elif case == "train_out_is_a_directory":
+        taken.mkdir()
+        args = ["train", "--data", str(data_path), "--rows", "2", "--cols", "2", "--iters", "10", "--out", str(taken)]
+        prefix = f"error: input: cannot write {taken}: "
+    elif case == "demo_outdir_is_a_file":
+        taken.write_text("not a directory\n")
+        args = ["demo", "--experiment", "stripe", "--outdir", str(taken)]
+        prefix = f"error: input: cannot create output directory {taken}: "
+    else:
+        (taken / "stripe_zigzag.svg").mkdir(parents=True)  # the demo's first output file
+        args = ["demo", "--experiment", "stripe", "--outdir", str(taken)]
+        prefix = f"error: input: cannot write into {taken}: "
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
 def test_cli_evaluate_help_lists_metric_names(runner):

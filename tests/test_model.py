@@ -274,11 +274,33 @@ def test_project_in_an_evaluation_equals_direct_calls_at_every_depth(monkeypatch
         for depth in (1, 3, 2):
             ranks = project(cb, data, depth=depth).bmu_ranks
             assert ranks.dtype == direct[depth].dtype and np.array_equal(ranks, direct[depth]), depth
-        shared = evaluation.results["ranks"]
+        shared = evaluation.ranks
         assert shared.shape == (50, 2) and not shared.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             project(cb, data, depth=1).bmu_ranks[0] = 0
     assert depths == [2, 3]
+
+
+def test_project_in_an_evaluation_keeps_depth_two_after_a_deeper_call(monkeypatch):
+    # a call deeper than 2 ranks on its own and is not kept: the shallower
+    # call that follows still makes the one depth-2 ranking
+    rng = np.random.default_rng(9)
+    cb = CodeBook(rng.integers(-2, 3, (6, 2)).astype(float), MapGrid(2, 3))
+    data = Dataset(rng.integers(-3, 4, (40, 2)).astype(float))
+    direct = {depth: project(cb, data, depth=depth).bmu_ranks for depth in (1, 3)}
+    depths = []
+    rank_units = model._rank_units
+
+    def counting_rank_units(codebook, data, depth):
+        depths.append(depth)
+        return rank_units(codebook, data, depth)
+
+    monkeypatch.setattr(model, "_rank_units", counting_rank_units)
+    with model._shared_results(cb, data) as evaluation:
+        for depth in (3, 1):
+            assert np.array_equal(project(cb, data, depth=depth).bmu_ranks, direct[depth]), depth
+        assert evaluation.ranks.shape == (40, 2)
+    assert depths == [3, 2]
 
 
 def test_project_depth_k_memory_is_bounded():
