@@ -25,6 +25,15 @@ def _fail(category: str, message: str, code: int) -> None:
     sys.exit(code)
 
 
+def _refuse_unwritable(out_path: str) -> None:
+    """Fail now, before any input is loaded, when ``out_path`` is a directory or its directory is missing."""
+    target = Path(out_path)
+    if target.is_dir():
+        _fail("input", f"cannot write {out_path}: it is a directory", 1)
+    if not target.parent.is_dir():
+        _fail("input", f"cannot write {out_path}: no directory {target.parent}", 1)
+
+
 @click.group()
 def main() -> None:
     """Quality metrics for self-organizing maps."""
@@ -62,6 +71,9 @@ def evaluate_cmd(codebook_path, data_path, labels_path, rows, cols, topology,
         kernel=kernel,
     )
     try:
+        config.validate()
+        if out_path:
+            _refuse_unwritable(out_path)
         report = evaluate(config)
         rendered = report.render(fmt)
     except InputError as exc:
@@ -95,16 +107,17 @@ def evaluate_cmd(codebook_path, data_path, labels_path, rows, cols, topology,
 def train_cmd(data_path, rows, cols, topology, tmax, tmin, alpha, iters, seed, out_path) -> None:
     """Train a map on a data file and write the codebook."""
     try:
+        config = TrainerConfig(rows=rows, cols=cols, topology=topology, t_max=tmax,
+                               t_min=tmin, alpha=alpha, iterations=iters, seed=seed)
+    except ValueError as exc:
+        _fail("config", str(exc), 2)
+    _refuse_unwritable(out_path)
+    try:
         data = Dataset(load_matrix(data_path))
     except InputError as exc:
         _fail("input", str(exc), 1)
     except ValueError as exc:  # parseable file, unusable contents
         _fail("input", f"{data_path}: {exc}", 1)
-    try:
-        config = TrainerConfig(rows=rows, cols=cols, topology=topology, t_max=tmax,
-                               t_min=tmin, alpha=alpha, iterations=iters, seed=seed)
-    except ValueError as exc:
-        _fail("config", str(exc), 2)
     try:
         codebook = train_som(data, config)
     except Exception as exc:

@@ -10,10 +10,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GAUSSIAN, NeighborhoodKernel, _weights_by_distance, adjacency_pairs, distance_matrix
-from .model import (_BLOCK, CodeBook, Dataset, _check_dims, _evaluation, _overflow_is_an_error,
-                    _paired_squared_distances, bmu_distances, project, receptive_field_connectivity,
-                    squared_distances)
+from .grid import GAUSSIAN, NeighborhoodKernel, adjacency_pairs, distance_matrix
+from .model import (_BLOCK, CodeBook, Dataset, _distortion_pass, _evaluation, _evaluation_distortion_pass,
+                    _overflow_is_an_error, _paired_squared_distances, bmu_distances, project,
+                    receptive_field_connectivity, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -28,17 +28,16 @@ def distortion(codebook: CodeBook, data: Dataset, temperature: float,
 
     The loss minimized by SOM training: every unit contributes for every
     sample, weighted by the kernel applied to its map distance from the BMU.
+    Within an evaluation that asks for it at these parameters, the total comes
+    from the pass that also makes the evaluation's projection.
     """
-    grid = codebook.grid
-    weights = _weights_by_distance(kernel, grid, temperature)[distance_matrix(grid)]  # K x K, by BMU row
-    _check_dims(codebook, data)
-    total = np.float64(0.0)  # a numpy scalar, so that an overflowing running total raises too
-    with _overflow_is_an_error():
-        for start in range(0, data.n_samples, _BLOCK):
-            d2 = squared_distances(data.samples[start:start + _BLOCK], codebook.prototypes)
-            w = weights[d2.argmin(axis=1)]  # BMU: ties to the lowest unit, as in project
-            total += (w * d2).sum()
-    return float(total) / data.n_samples
+    evaluation = _evaluation(codebook, data)
+    if (evaluation is not None and evaluation.fuses_distortion
+            and (temperature, kernel) == (evaluation.temperature, evaluation.kernel)):
+        if evaluation.distortion is None:
+            _evaluation_distortion_pass(evaluation)
+        return float(evaluation.distortion) / data.n_samples
+    return float(_distortion_pass(codebook, data, temperature, kernel)[0]) / data.n_samples
 
 
 def topographic_error(codebook: CodeBook, data: Dataset) -> float:
@@ -50,13 +49,22 @@ def topographic_error(codebook: CodeBook, data: Dataset) -> float:
     return float(np.mean(dmat[proj.bmu, proj.second_bmu] > 1))
 
 
-def _map_path_costs(codebook: CodeBook, sources: np.ndarray) -> np.ndarray:
-    """Exact shortest-path costs on the unit adjacency graph, one row per source unit.
+def _map_path_costs(codebook: CodeBook, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Exact shortest-path cost on the unit adjacency graph from each ``sources[i]`` to ``targets[i]``.
 
     Edge weight between adjacent units is the squared euclidean distance of
     their prototypes. Zero-weight edges (duplicate prototypes) are legitimate:
     the graph is built from COO without ``eliminate_zeros``, so csgraph keeps
     explicit zeros as edges.
+
+    Dijkstra runs from ``_BLOCK`` distinct sources at a time, so no cost array
+    is larger than ``_BLOCK`` x K, and only as far as each needed cost: first
+    up to a limit of the median positive edge weight, then again, with the
+    limit doubled, from the sources whose needed cost is still unreached, and
+    without a limit once the limit reaches the sum of all edge weights. The
+    costs equal those of one unlimited run bit for bit: adding a nonnegative
+    weight with rounding never lowers a sum, so every node within the
+    (inclusive) limit is reached by the same sums as without it.
     """
     # scipy loads on first use, so that importing the package and training do not pay for it
     from scipy.sparse import coo_array
@@ -67,7 +75,24 @@ def _map_path_costs(codebook: CodeBook, sources: np.ndarray) -> np.ndarray:
     p = codebook.prototypes
     w = _paired_squared_distances(p, a, p, b)
     graph = coo_array((w, (a, b)), shape=(K, K)).tocsr()
-    return dijkstra(graph, directed=False, indices=sources)
+    positive = np.sort(w[w > 0])
+    first_limit = float(positive[len(positive) // 2]) if len(positive) else 0.0  # no arithmetic: no overflow
+    with np.errstate(over="ignore"):
+        total = float(w.sum())  # an overflow to inf lets the doubling run to inf
+    units, source_of = np.unique(sources, return_inverse=True)
+    costs = np.empty(len(sources))
+    for lo in range(0, len(units), _BLOCK):
+        pending = np.flatnonzero((source_of >= lo) & (source_of < lo + _BLOCK))  # pairs whose cost is unreached
+        limit = first_limit
+        while len(pending):
+            run = limit if limit < total else np.inf
+            starts, row = np.unique(source_of[pending], return_inverse=True)
+            costs[pending] = dijkstra(graph, directed=False, indices=units[starts], limit=run)[row, targets[pending]]
+            if run == np.inf:
+                break
+            pending = pending[np.isinf(costs[pending])]
+            limit *= 2.0  # a Python float: doubling past the largest float gives inf, without an error
+    return costs
 
 
 def combined_error(codebook: CodeBook, data: Dataset) -> float:
@@ -80,10 +105,8 @@ def combined_error(codebook: CodeBook, data: Dataset) -> float:
     if codebook.n_units < 2:
         raise ValueError("combined error requires at least two units")
     proj = project(codebook, data, depth=2)
-    sources, row = np.unique(proj.bmu, return_inverse=True)
-    costs = _map_path_costs(codebook, sources)
+    path = _map_path_costs(codebook, proj.bmu, proj.second_bmu)
     first = _paired_squared_distances(data.samples, np.arange(data.n_samples), codebook.prototypes, proj.bmu)
-    path = costs[row, proj.second_bmu]
     with _overflow_is_an_error():
         # dijkstra overflows to inf without a floating-point error; the lattice
         # is connected, so an infinite path cost can only be such an overflow

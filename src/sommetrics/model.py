@@ -239,7 +239,13 @@ class _Evaluation:
     temperature: float | None
     kernel: NeighborhoodKernel
     ranks: np.ndarray | None = None  # read-only depth-min(2, K) ranks of project
+    distortion: np.float64 | None = None  # the weighted total of the distortion pass that made the ranks
     pairs: tuple | None = None  # the planned scan of internal._pair_sums
+
+    @property
+    def fuses_distortion(self) -> bool:
+        """Whether distortion's pass makes the ranks: the evaluation asks for distortion at a temperature."""
+        return "distortion" in self.metrics and self.temperature is not None
 
 
 _SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_shared_results", default=None)
@@ -284,7 +290,11 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     Within an evaluation, a call at depth 1 or 2 reads the leading columns of
     one read-only ranking of depth ``min(2, K)``, made on first need: the
     ranking is exact, so they are the ranks a shallower call would compute. A
-    deeper call ranks on its own, and its ranks are not kept.
+    deeper call ranks on its own, and its ranks are not kept. When the
+    evaluation asks for distortion at a temperature, the ranking comes from
+    distortion's exact pass (``_distortion_pass``), which keeps its total for
+    distortion; if that pass raises, distortion fails on its own and the
+    ranking is made as outside an evaluation.
     """
     _check_dims(codebook, data)
     K = codebook.n_units
@@ -293,11 +303,27 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     evaluation = _evaluation(codebook, data)
     if evaluation is None or depth > 2:
         return ProjectionIndex(_rank_units(codebook, data, depth))
+    if evaluation.ranks is None and evaluation.fuses_distortion:
+        try:
+            _evaluation_distortion_pass(evaluation)
+        except ValueError:  # distortion reports it when it runs
+            pass
     if evaluation.ranks is None:
-        ranks = _rank_units(codebook, data, min(2, K))
-        ranks.flags.writeable = False  # every metric of the evaluation gets a view of this one array
-        evaluation.ranks = ranks
+        _keep_ranks(evaluation, _rank_units(codebook, data, min(2, K)))
     return ProjectionIndex(evaluation.ranks[:, :depth])
+
+
+def _keep_ranks(evaluation: _Evaluation, ranks: np.ndarray) -> None:
+    ranks.flags.writeable = False  # every metric of the evaluation gets a view of this one array
+    evaluation.ranks = ranks
+
+
+def _evaluation_distortion_pass(evaluation: _Evaluation) -> None:
+    """Run distortion's pass for the evaluation: keep its total, and its ranks unless ranks are kept already."""
+    evaluation.distortion, ranks = _distortion_pass(evaluation.codebook, evaluation.data, evaluation.temperature,
+                                                    evaluation.kernel)
+    if evaluation.ranks is None:
+        _keep_ranks(evaluation, ranks)
 
 
 def _rank_units(codebook: CodeBook, data: Dataset, depth: int) -> np.ndarray:
@@ -335,6 +361,36 @@ def _rank_units(codebook: CodeBook, data: Dataset, depth: int) -> np.ndarray:
         counts = keep.sum(axis=1)
         ranks[start:start + len(x)] = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
     return ranks
+
+
+def _distortion_pass(codebook: CodeBook, data: Dataset, temperature: float,
+                     kernel: NeighborhoodKernel) -> tuple[np.float64, np.ndarray]:
+    """Distortion's weighted total over all samples, and the (N, min(2, K)) unit ranks of ``project``.
+
+    One exact pass over ``_BLOCK``-row blocks of ``squared_distances``: each
+    block's BMUs (``argmin``, ties to the lowest unit, as in ``project``) pick
+    the kernel weights of every unit; the BMU entries are then set to inf, and
+    a second ``argmin`` gives the second BMUs. Raises ``ValueError`` when the
+    kernel cannot weigh the map at ``temperature``, or when a distance or the
+    running total overflows float64.
+    """
+    grid = codebook.grid
+    weights = _weights_by_distance(kernel, grid, temperature)[distance_matrix(grid)]  # K x K, by BMU row
+    _check_dims(codebook, data)
+    n = data.n_samples
+    ranks = np.empty((n, min(2, codebook.n_units)), dtype=np.int64)
+    total = np.float64(0.0)  # a numpy scalar, so that an overflowing running total raises too
+    with _overflow_is_an_error():
+        for start in range(0, n, _BLOCK):
+            d2 = squared_distances(data.samples[start:start + _BLOCK], codebook.prototypes)
+            bmus = d2.argmin(axis=1)
+            total += (weights[bmus] * d2).sum()
+            block = ranks[start:start + len(d2)]
+            block[:, 0] = bmus
+            if ranks.shape[1] == 2:
+                d2[np.arange(len(d2)), bmus] = np.inf
+                block[:, 1] = d2.argmin(axis=1)
+    return total, ranks
 
 
 def bmu_distances(codebook: CodeBook, data: Dataset, bmus: np.ndarray) -> np.ndarray:

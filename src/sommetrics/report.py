@@ -182,7 +182,9 @@ def _computations(codebook: CodeBook, data: Dataset, metrics, k: int | None = No
 
     Every ``compute()`` runs in one evaluation scope over ``codebook`` and
     ``data``, so the projection and the sample-pair scan are done once for all
-    of the metrics; the first metric that needs either pays for it.
+    of the metrics; the first metric that needs either pays for it. When
+    ``metrics`` holds distortion and ``temperature`` is given, one exact pass
+    gives both the projection and distortion's total.
     """
     with _shared_results(codebook, data, metrics, k, temperature, NeighborhoodKernel(kernel)) as evaluation:
         yield {name: partial(REGISTRY[name].compute, evaluation) for name in dict.fromkeys(metrics)}

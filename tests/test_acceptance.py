@@ -83,7 +83,7 @@ def test_c03_combined_error_paths_match_exhaustive_enumeration():
             (a, b): float(((cb.prototypes[a] - cb.prototypes[b]) ** 2).sum())
             for a, b in edge_idx
         }
-        costs = _map_path_costs(cb, np.arange(9))
+        costs = _map_path_costs(cb, *np.divmod(np.arange(81), 9)).reshape(9, 9)  # every ordered pair
         for s in range(9):
             for t in range(9):
                 if s != t:

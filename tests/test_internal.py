@@ -182,7 +182,7 @@ def test_ce_path_costs_match_exhaustive_enumeration():
             (a, b): float(((cb.prototypes[a] - cb.prototypes[b]) ** 2).sum())
             for a, b in (tuple(e) for e in adjacency_pairs(cb.grid))
         }
-        costs = _map_path_costs(cb, np.arange(9))
+        costs = _map_path_costs(cb, *np.divmod(np.arange(81), 9)).reshape(9, 9)  # every ordered pair
         for s in range(9):
             for t in range(9):
                 if s == t:
@@ -190,6 +190,83 @@ def test_ce_path_costs_match_exhaustive_enumeration():
                 expected = min_path_cost_exhaustive(9, weights, s, t)
                 assert costs[s][t] == pytest.approx(expected, abs=1e-12)
     assert weights[(0, 1)] == weights[(0, 3)] == 0.0  # zero-weight edges were exercised
+
+
+def _recorded_limits(monkeypatch):
+    import scipy.sparse.csgraph
+
+    limits = []
+    dijkstra = scipy.sparse.csgraph.dijkstra
+
+    def recording(*args, limit=np.inf, **kwargs):
+        limits.append(limit)
+        return dijkstra(*args, limit=limit, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", recording)
+    return limits
+
+
+def test_ce_path_cost_equal_to_a_stage_limit_is_found_at_that_stage(monkeypatch):
+    # chain weights 1, 1, 1: the limits are 1, 2, then none (4 is not below the total 3);
+    # the limit is inclusive, so a cost equal to it ends the search there
+    cb = chain_codebook([0.0, 1.0, 2.0, 3.0])
+    limits = _recorded_limits(monkeypatch)
+    for target, cost, expected in ((1, 1.0, [1.0]), (2, 2.0, [1.0, 2.0]), (3, 3.0, [1.0, 2.0, np.inf])):
+        limits.clear()
+        assert _map_path_costs(cb, np.array([0]), np.array([target])).tolist() == [cost]
+        assert limits == expected
+
+
+def test_ce_path_costs_on_an_all_zero_weight_graph(monkeypatch):
+    # every prototype equal: every cost is 0, found by one unlimited run
+    cb = CodeBook(np.ones((6, 2)), MapGrid(2, 3, "hexagonal"))
+    limits = _recorded_limits(monkeypatch)
+    sources, targets = np.divmod(np.arange(36), 6)
+    assert _map_path_costs(cb, sources, targets).tolist() == [0.0] * 36
+    assert limits == [np.inf]
+    assert combined_error(cb, Dataset(np.zeros((5, 2)))) == 2.0
+
+
+def test_ce_path_costs_equal_unbounded_dijkstra_bit_for_bit():
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import dijkstra
+
+    rng = np.random.default_rng(1818)
+    for case in range(120):
+        kind = ("generic", "chain", "integer ties", "half duplicated")[case % 4]
+        rows = 1 if kind == "chain" else int(rng.integers(1, 12))
+        cols = max(int(rng.integers(1, 12)), 3 - rows)
+        grid = MapGrid(rows, cols, ("rectangular", "hexagonal")[case // 4 % 2])
+        k, d = grid.n_units, int(rng.integers(1, 4))
+        protos = rng.integers(-2, 3, size=(k, d)).astype(float) if kind == "integer ties" else rng.normal(size=(k, d))
+        if kind == "half duplicated":
+            copies = rng.choice(k, k // 2, replace=False)
+            protos[copies] = protos[rng.integers(0, k, size=len(copies))]
+        cb = CodeBook(protos, grid)
+        n = int(rng.integers(1, 301))
+        sources, targets = rng.integers(0, k, size=n), rng.integers(0, k, size=n)
+        a, b = adjacency_pairs(grid).T
+        weights = ((protos[a] - protos[b]) ** 2).sum(axis=1)
+        full = dijkstra(coo_array((weights, (a, b)), shape=(k, k)).tocsr(), directed=False)
+        expected = full[sources, targets]
+        assert _map_path_costs(cb, sources, targets).tobytes() == expected.tobytes(), (case, kind)
+
+
+def test_ce_path_cost_memory_is_bounded_by_a_block_of_sources():
+    # 895 distinct sources on a 30x30 map: one cost row per source would be
+    # 6.1 MiB; blocks of 256 sources hold 1.8 MiB at a time
+    rng = np.random.default_rng(3)
+    grid = MapGrid(30, 30, "hexagonal")
+    cb = CodeBook(rng.normal(size=(900, 4)), grid)
+    sources, targets = rng.integers(0, 900, 5000), rng.integers(0, 900, 5000)
+    _map_path_costs(cb, sources[:1], targets[:1])  # loads scipy and caches the grid's distances
+    tracemalloc.start()
+    try:
+        _map_path_costs(cb, sources, targets)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0, peak
 
 
 @settings(max_examples=30, deadline=None)

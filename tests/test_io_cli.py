@@ -132,15 +132,23 @@ def test_evaluate_partial_failure_keeps_other_metrics(fixture_files):
 
 
 def test_evaluate_projects_once_for_label_metrics(fixture_files, monkeypatch):
+    # one N x K pass per evaluation: distortion's pass when distortion is
+    # requested, which then also gives the ranks; else one _rank_units call
     codebook_path, data_path, labels_path, _, _, _ = fixture_files
-    calls = []
-    rank_units = sm.model._rank_units
+    calls, passes = [], []
+    rank_units, distortion_pass = sm.model._rank_units, sm.model._distortion_pass
 
     def counting_rank_units(*args):
         calls.append(args[2])
         return rank_units(*args)
 
+    def counting_passes(*args):
+        passes.append(args[2])
+        return distortion_pass(*args)
+
     monkeypatch.setattr(sm.model, "_rank_units", counting_rank_units)
+    for module in (sm.model, sm.internal):
+        monkeypatch.setattr(module, "_distortion_pass", counting_passes)
     config = EvaluationConfig(
         codebook_path=str(codebook_path), data_path=str(data_path), labels_path=str(labels_path),
         rows=3, cols=3, temperature=0.5,
@@ -150,9 +158,16 @@ def test_evaluate_projects_once_for_label_metrics(fixture_files, monkeypatch):
     )
     report = evaluate(config)
     assert not report.failed
-    assert len(calls) == 1
+    assert (calls, passes) == ([], [0.5])
 
-    # with all metrics: still one projection, and one sample-pair scan for all four pair metrics
+    config.metrics = tuple(name for name in config.metrics if name != "distortion")
+    calls.clear()
+    passes.clear()
+    report = evaluate(config)
+    assert not report.failed
+    assert (calls, passes) == ([2], [])
+
+    # with all metrics: still one N x K pass, and one sample-pair scan for all four pair metrics
     scans = []
     pair_scan = sm.internal._pair_scan
 
@@ -162,10 +177,11 @@ def test_evaluate_projects_once_for_label_metrics(fixture_files, monkeypatch):
 
     monkeypatch.setattr(sm.internal, "_pair_scan", counting_scans)
     calls.clear()
+    passes.clear()
     config.metrics, config.k = sm.METRIC_NAMES, 2
     report = evaluate(config)
     assert not report.failed
-    assert len(calls) == 1
+    assert (calls, passes) == ([], [0.5])
     assert scans == [(2, True, True)]
 
 
@@ -786,10 +802,24 @@ def test_cli_train_non_finite_data_is_input_error(runner, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["evaluate_out_is_a_directory", "train_out_is_a_directory",
-                                  "demo_outdir_is_a_file", "demo_output_is_a_directory"])
-def test_cli_write_failures_are_one_input_line(runner, fixture_files, tmp_path, case):
+                                  "demo_outdir_is_a_file", "demo_output_is_a_directory",
+                                  "evaluate_out_directory_is_missing", "train_out_directory_is_missing"])
+def test_cli_write_failures_are_one_input_line(runner, fixture_files, tmp_path, monkeypatch, case):
     codebook_path, data_path, _, _, _, _ = fixture_files
+    # an unusable --out is refused before any input is loaded, any metric computed or any map trained
+    ran = []
+
+    def recorded(name, run):
+        def call(*args, **kwargs):
+            ran.append(name)
+            return run(*args, **kwargs)
+        return call
+
+    for module, name in ((sm.cli, "load_matrix"), (sm.report, "load_matrix"), (sm.report, "_computations"),
+                         (sm.cli, "train_som")):
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     taken = tmp_path / "taken"
+    missing = tmp_path / "absent" / "out.csv"
     if case == "evaluate_out_is_a_directory":
         taken.mkdir()
         args = [*_evaluate_args(codebook_path, data_path, "quantization_error"), "--out", str(taken)]
@@ -798,6 +828,12 @@ def test_cli_write_failures_are_one_input_line(runner, fixture_files, tmp_path, 
         taken.mkdir()
         args = ["train", "--data", str(data_path), "--rows", "2", "--cols", "2", "--iters", "10", "--out", str(taken)]
         prefix = f"error: input: cannot write {taken}: "
+    elif case == "evaluate_out_directory_is_missing":
+        args = [*_evaluate_args(codebook_path, data_path, "quantization_error"), "--out", str(missing)]
+        prefix = f"error: input: cannot write {missing}: "
+    elif case == "train_out_directory_is_missing":
+        args = ["train", "--data", str(data_path), "--rows", "2", "--cols", "2", "--iters", "10", "--out", str(missing)]
+        prefix = f"error: input: cannot write {missing}: "
     elif case == "demo_outdir_is_a_file":
         taken.write_text("not a directory\n")
         args = ["demo", "--experiment", "stripe", "--outdir", str(taken)]
@@ -810,6 +846,22 @@ def test_cli_write_failures_are_one_input_line(runner, fixture_files, tmp_path, 
     assert result.exit_code == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    if not case.startswith("demo"):
+        assert ran == []
+        assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_cli_config_errors_precede_an_unusable_out(runner, fixture_files, tmp_path, command):
+    codebook_path, data_path, _, _, _, _ = fixture_files
+    if command == "evaluate":
+        args = _evaluate_args(codebook_path, data_path, "distortion")  # no --temperature
+    else:
+        args = ["train", "--data", str(data_path), "--rows", "2", "--cols", "2", "--tmin", "0"]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config: "), lines
 
 
 def test_cli_evaluate_help_lists_metric_names(runner):

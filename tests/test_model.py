@@ -13,6 +13,7 @@ from sommetrics import (
     Dataset,
     MapGrid,
     TrainerConfig,
+    distortion,
     init_codebook,
     project,
     receptive_field_connectivity,
@@ -20,6 +21,7 @@ from sommetrics import (
 )
 from sommetrics import model
 from sommetrics.grid import TOPOLOGIES
+from sommetrics.report import METRIC_NAMES, REGISTRY, _computations, _jsonable
 
 from oracles import project_bruteforce, train_som_reference
 
@@ -301,6 +303,79 @@ def test_project_in_an_evaluation_keeps_depth_two_after_a_deeper_call(monkeypatc
             assert np.array_equal(project(cb, data, depth=depth).bmu_ranks, direct[depth]), depth
         assert evaluation.ranks.shape == (40, 2)
     assert depths == [3, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    topology=st.sampled_from(TOPOLOGIES),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 4),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 10_000),
+)
+def test_distortion_pass_ranks_match_bruteforce_on_tied_integer_data(topology, rows, cols, n, seed):
+    # integer lattices tie often; a one-unit map ranks to depth 1. Inside an
+    # evaluation that asks for distortion, project reads these very ranks.
+    rng = np.random.default_rng(seed)
+    grid = MapGrid(rows, cols, topology)
+    cb = CodeBook(rng.integers(-2, 3, (grid.n_units, 2)).astype(float), grid)
+    data = Dataset(rng.integers(-3, 4, (n, 2)) / 2.0)
+    depth = min(2, grid.n_units)
+    total, ranks = model._distortion_pass(cb, data, 0.8, GAUSSIAN)
+    assert ranks.tolist() == project_bruteforce(data.samples, cb.prototypes, depth)
+    with model._shared_results(cb, data, ("distortion",), temperature=0.8) as evaluation:
+        assert np.array_equal(project(cb, data, depth=1).bmu_ranks, ranks[:, :1])
+        assert np.array_equal(evaluation.ranks, ranks) and evaluation.distortion == total
+
+
+def test_distortion_pass_makes_the_evaluation_ranks_and_total(monkeypatch):
+    rng = np.random.default_rng(10)
+    cb = CodeBook(rng.integers(-2, 3, (6, 2)).astype(float), MapGrid(2, 3, "hexagonal"))
+    data = Dataset(rng.integers(-3, 4, (600, 2)).astype(float))  # three blocks
+    direct = (project(cb, data, depth=2).bmu_ranks, distortion(cb, data, 0.6, WINDOW))
+    depths = []
+    monkeypatch.setattr(model, "_rank_units", lambda *args: depths.append(args[2]))
+    for first in ("project", "distortion"):
+        with model._shared_results(cb, data, ("quantization_error", "distortion"), temperature=0.6,
+                                   kernel=WINDOW):
+            if first == "distortion":
+                assert distortion(cb, data, 0.6, WINDOW) == direct[1]
+            assert np.array_equal(project(cb, data, depth=2).bmu_ranks, direct[0])
+            assert distortion(cb, data, 0.6, WINDOW) == direct[1]
+    assert depths == []
+
+
+def _outcomes(cb, data, metrics, temperature):
+    outcomes = {}
+    with _computations(cb, data, metrics, 2, temperature) as computations:
+        for name, compute in computations.items():
+            try:
+                outcomes[name] = repr(_jsonable(compute()))
+            except ValueError as exc:
+                outcomes[name] = f"ValueError: {exc}"
+    return outcomes
+
+
+@pytest.mark.parametrize("case", ["total overflows", "temperature too small"])
+def test_an_evaluation_whose_distortion_fails_computes_the_rest_as_without_it(case):
+    rng = np.random.default_rng(6)
+    if case == "total overflows":  # the inputs of test_distortion_total_overflow_is_an_error
+        cb, data = CodeBook(rng.random((9, 4)) * 1e153, MapGrid(3, 3)), Dataset(rng.random((200, 4)) * 1e153)
+        temperature, message = 1.0, "ValueError: squared distances overflow float64"
+    else:
+        cb, data = CodeBook(rng.random((9, 4)), MapGrid(3, 3)), Dataset(rng.random((200, 4)))
+        temperature, message = 1e-160, "ValueError: the gaussian kernel cannot weigh map distances 0..4"
+    others = [name for name in METRIC_NAMES if name != "distortion" and not REGISTRY[name].needs_labels]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message.removeprefix("ValueError: ")):
+            distortion(cb, data, temperature)
+        without = _outcomes(cb, data, others, temperature)
+        for metrics in (["distortion", *others], [*others, "distortion"]):
+            with_distortion = _outcomes(cb, data, metrics, temperature)
+            assert with_distortion.pop("distortion").startswith(message)
+            assert with_distortion == without
+    assert sum(value.startswith("ValueError") for value in without.values()) < len(others) / 2
 
 
 def test_project_depth_k_memory_is_bounded():
