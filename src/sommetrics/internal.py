@@ -11,9 +11,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import GAUSSIAN, NeighborhoodKernel, adjacency_pairs, distance_matrix
-from .model import (_BLOCK, CodeBook, Dataset, _distortion_pass, _evaluation, _evaluation_distortion_pass,
-                    _overflow_is_an_error, _paired_squared_distances, bmu_distances, project,
-                    receptive_field_connectivity, squared_distances)
+from .model import (_BLOCK, CodeBook, Dataset, _check_kse, _check_order, _check_samples, _distortion_pass,
+                    _evaluation, _evaluation_distortion_pass, _overflow_is_an_error, _paired_squared_distances,
+                    bmu_distances, project, receptive_field_connectivity, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -29,15 +29,16 @@ def distortion(codebook: CodeBook, data: Dataset, temperature: float,
     The loss minimized by SOM training: every unit contributes for every
     sample, weighted by the kernel applied to its map distance from the BMU.
     Within an evaluation that asks for it at these parameters, the total comes
-    from the pass that also makes the evaluation's projection.
+    from the pass that also makes the evaluation's projection; that pass runs
+    once, and an error it raised is raised again.
     """
     evaluation = _evaluation(codebook, data)
-    if (evaluation is not None and evaluation.fuses_distortion
-            and (temperature, kernel) == (evaluation.temperature, evaluation.kernel)):
-        if evaluation.distortion is None:
-            _evaluation_distortion_pass(evaluation)
-        return float(evaluation.distortion) / data.n_samples
-    return float(_distortion_pass(codebook, data, temperature, kernel)[0]) / data.n_samples
+    if evaluation is None or (temperature, kernel) != (evaluation.temperature, evaluation.kernel):
+        return float(_distortion_pass(codebook, data, temperature, kernel)[0]) / data.n_samples
+    total = _evaluation_distortion_pass(evaluation)
+    if isinstance(total, ValueError):
+        raise total
+    return float(total) / data.n_samples
 
 
 def topographic_error(codebook: CodeBook, data: Dataset) -> float:
@@ -123,52 +124,18 @@ class _PairSums(NamedTuple):
     c: float | None
 
 
-def _check_samples(data: Dataset, least: int) -> None:
-    if data.n_samples < least:
-        raise ValueError(f"need at least {least} samples, got {data.n_samples}")
-
-
-def _check_order(data: Dataset, k: int) -> None:
-    """Trustworthiness' and neighborhood preservation's checks, in order."""
-    _check_samples(data, 3)
-    n = data.n_samples
-    if not 1 <= k < n / 2:
-        raise ValueError(f"neighborhood order k must satisfy 1 <= k < N/2 = {n / 2}, got {k}")
-
-
-def _check_kse(codebook: CodeBook, data: Dataset) -> None:
-    """The Kruskal-Shepard error's checks before its scan, in order."""
-    _check_samples(data, 2)
-    codebook.grid.max_distance()  # a one-unit map has no diameter to scale by
-
-
-def _passes(check, *args) -> bool:
-    try:
-        check(*args)
-    except ValueError:
-        return False
-    return True
-
-
 def _pair_sums(codebook: CodeBook, data: Dataset, own: tuple[int | None, bool, bool]) -> _PairSums:
     """The scan for the consumers ``own`` = (trust/NP order, KSE, C), which the caller has checked.
 
-    Inside an evaluation that asks for them, one scan serves every pair metric
-    the evaluation asks for whose checks pass; it runs once and is kept.
-    Consumers the evaluation does not ask for are scanned on their own.
+    Inside an evaluation whose pair plan holds them, the one scan of the plan
+    serves them; it runs once and is kept. Other consumers are scanned on
+    their own.
     """
     evaluation = _evaluation(codebook, data)
-    if evaluation is None:
-        return _pair_scan(codebook, data, *own)
-    metrics, k = evaluation.metrics, evaluation.k
-    planned = (k if k is not None and metrics & {"trustworthiness", "neighborhood_preservation"}
-               and _passes(_check_order, data, k) else None,
-               "kruskal_shepard_error" in metrics and _passes(_check_kse, codebook, data),
-               "c_measure" in metrics and _passes(_check_samples, data, 2))
-    if any(mine and mine != plan for mine, plan in zip(own, planned)):
+    if evaluation is None or any(mine and mine != plan for mine, plan in zip(own, evaluation.pair_plan)):
         return _pair_scan(codebook, data, *own)  # not in the plan: scanned alone, not kept
     if evaluation.pairs is None:
-        evaluation.pairs = _pair_scan(codebook, data, *planned)
+        evaluation.pairs = _pair_scan(codebook, data, *evaluation.pair_plan)
     return evaluation.pairs
 
 

@@ -230,25 +230,47 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
 
 @dataclass
 class _Evaluation:
-    """The evaluation that is running: its operands, what it asks for, and the results it keeps."""
+    """The evaluation that is running: its operands and parameters, its plan, and the results it keeps."""
 
     codebook: CodeBook
     data: Dataset
-    metrics: frozenset
     k: int | None
-    temperature: float | None
+    temperature: float | None  # distortion's, None unless the evaluation asks for it: then its pass makes the ranks
     kernel: NeighborhoodKernel
+    pair_plan: tuple[int | None, bool, bool]  # the (trust/NP order, KSE, C) consumers of the one pair scan
     ranks: np.ndarray | None = None  # read-only depth-min(2, K) ranks of project
-    distortion: np.float64 | None = None  # the weighted total of the distortion pass that made the ranks
-    pairs: tuple | None = None  # the planned scan of internal._pair_sums
-
-    @property
-    def fuses_distortion(self) -> bool:
-        """Whether distortion's pass makes the ranks: the evaluation asks for distortion at a temperature."""
-        return "distortion" in self.metrics and self.temperature is not None
+    distortion: np.float64 | ValueError | None = None  # the total of distortion's pass, or the error it raised
+    pairs: tuple | None = None  # the pair scan of pair_plan, made by internal._pair_sums
 
 
 _SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_shared_results", default=None)
+
+
+def _check_samples(data: Dataset, least: int) -> None:
+    if data.n_samples < least:
+        raise ValueError(f"need at least {least} samples, got {data.n_samples}")
+
+
+def _check_order(data: Dataset, k: int) -> None:
+    """Trustworthiness' and neighborhood preservation's checks, in order."""
+    _check_samples(data, 3)
+    n = data.n_samples
+    if not 1 <= k < n / 2:
+        raise ValueError(f"neighborhood order k must satisfy 1 <= k < N/2 = {n / 2}, got {k}")
+
+
+def _check_kse(codebook: CodeBook, data: Dataset) -> None:
+    """The Kruskal-Shepard error's checks before its scan, in order."""
+    _check_samples(data, 2)
+    codebook.grid.max_distance()  # a one-unit map has no diameter to scale by
+
+
+def _passes(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
 
 
 @contextmanager
@@ -256,11 +278,18 @@ def _shared_results(codebook: CodeBook, data: Dataset, metrics=(), k: int | None
                     temperature: float | None = None, kernel: NeighborhoodKernel = GAUSSIAN):
     """Within the block, the projection and the pair scan of these two objects are kept; yields the evaluation.
 
-    ``metrics`` and ``k`` name what the evaluation will ask for, so that work
-    shared by several metrics can be done once for all of them; ``temperature``
-    and ``kernel`` are distortion's parameters.
+    ``metrics`` and ``k`` name what the evaluation will ask for; ``temperature``
+    and ``kernel`` are distortion's parameters. The plan of what is shared is
+    fixed here, once: the pair scan serves the requested pair metrics whose
+    checks pass, and distortion's pass makes the ranks when distortion is
+    requested (the temperature is kept only then).
     """
-    evaluation = _Evaluation(codebook, data, frozenset(metrics), k, temperature, kernel)
+    metrics = frozenset(metrics)
+    pair_plan = (k if k is not None and metrics & {"trustworthiness", "neighborhood_preservation"}
+                 and _passes(_check_order, data, k) else None,
+                 "kruskal_shepard_error" in metrics and _passes(_check_kse, codebook, data),
+                 "c_measure" in metrics and _passes(_check_samples, data, 2))
+    evaluation = _Evaluation(codebook, data, k, temperature if "distortion" in metrics else None, kernel, pair_plan)
     token = _SCOPE.set(evaluation)
     try:
         yield evaluation
@@ -293,7 +322,7 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     deeper call ranks on its own, and its ranks are not kept. When the
     evaluation asks for distortion at a temperature, the ranking comes from
     distortion's exact pass (``_distortion_pass``), which keeps its total for
-    distortion; if that pass raises, distortion fails on its own and the
+    distortion; if that pass raises, its error is kept for distortion and the
     ranking is made as outside an evaluation.
     """
     _check_dims(codebook, data)
@@ -303,11 +332,8 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     evaluation = _evaluation(codebook, data)
     if evaluation is None or depth > 2:
         return ProjectionIndex(_rank_units(codebook, data, depth))
-    if evaluation.ranks is None and evaluation.fuses_distortion:
-        try:
-            _evaluation_distortion_pass(evaluation)
-        except ValueError:  # distortion reports it when it runs
-            pass
+    if evaluation.ranks is None and evaluation.temperature is not None:
+        _evaluation_distortion_pass(evaluation)
     if evaluation.ranks is None:
         _keep_ranks(evaluation, _rank_units(codebook, data, min(2, K)))
     return ProjectionIndex(evaluation.ranks[:, :depth])
@@ -318,12 +344,17 @@ def _keep_ranks(evaluation: _Evaluation, ranks: np.ndarray) -> None:
     evaluation.ranks = ranks
 
 
-def _evaluation_distortion_pass(evaluation: _Evaluation) -> None:
-    """Run distortion's pass for the evaluation: keep its total, and its ranks unless ranks are kept already."""
-    evaluation.distortion, ranks = _distortion_pass(evaluation.codebook, evaluation.data, evaluation.temperature,
-                                                    evaluation.kernel)
-    if evaluation.ranks is None:
-        _keep_ranks(evaluation, ranks)
+def _evaluation_distortion_pass(evaluation: _Evaluation) -> np.float64 | ValueError:
+    """Distortion's pass for the evaluation, run once: keeps its ranks, and keeps and returns its total or error."""
+    if evaluation.distortion is None:
+        try:
+            evaluation.distortion, ranks = _distortion_pass(evaluation.codebook, evaluation.data,
+                                                            evaluation.temperature, evaluation.kernel)
+        except ValueError as exc:
+            evaluation.distortion = exc
+        else:
+            _keep_ranks(evaluation, ranks)
+    return evaluation.distortion
 
 
 def _rank_units(codebook: CodeBook, data: Dataset, depth: int) -> np.ndarray:

@@ -101,8 +101,12 @@ class EvaluationConfig:
                 raise ConfigError(f"metric {name} requires a labels file (--labels)")
             if spec.needs_k and self.k is None:
                 raise ConfigError(f"metric {name} requires the neighborhood order k (--k)")
+            if spec.needs_k and self.k < 1:  # k >= N/2 depends on the data: it fails per metric
+                raise ConfigError(f"neighborhood order k must be >= 1, got {self.k}")
             if spec.needs_temperature and self.temperature is None:
                 raise ConfigError(f"metric {name} requires a temperature (--temperature)")
+            if spec.needs_temperature and not self.temperature > 0:
+                raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
 
 @dataclass

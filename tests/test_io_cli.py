@@ -577,6 +577,12 @@ def test_cli_evaluate_non_finite_temperature_is_one_config_line(runner, fixture_
     ("trustworthiness", [], "error: config: metric trustworthiness requires the neighborhood order k (--k)"),
     ("distortion", [], "error: config: metric distortion requires a temperature (--temperature)"),
     ("quantization_error", ["--rows", "0"], "error: config: map size must be positive, got 0x3"),
+    ("trustworthiness", ["--k", "0"], "error: config: neighborhood order k must be >= 1, got 0"),
+    ("quantization_error,neighborhood_preservation", ["--k", "-3"],
+     "error: config: neighborhood order k must be >= 1, got -3"),
+    ("distortion", ["--temperature", "0"], "error: config: temperature must be positive, got 0.0"),
+    ("quantization_error,distortion", ["--temperature", "-0.5"],
+     "error: config: temperature must be positive, got -0.5"),
 ])
 def test_cli_evaluate_config_contract_is_one_line(runner, fixture_files, metrics, extra, line):
     codebook_path, data_path, _, _, _, _ = fixture_files
@@ -584,6 +590,20 @@ def test_cli_evaluate_config_contract_is_one_line(runner, fixture_files, metrics
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [line]
+
+
+def test_cli_evaluate_k_and_temperature_are_checked_only_for_the_metrics_that_read_them(runner, fixture_files,
+                                                                                        tmp_path):
+    codebook_path, data_path, _, _, _, _ = fixture_files
+    # checked before any file is loaded: a missing data file is not reached
+    result = runner.invoke(main, _evaluate_args(codebook_path, tmp_path / "missing.csv", "trustworthiness",
+                                                ["--k", "0"]))
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["error: config: neighborhood order k must be >= 1, got 0"]
+    # a k or a temperature that no requested metric reads is not checked
+    result = runner.invoke(main, _evaluate_args(codebook_path, data_path, "quantization_error",
+                                                ["--k", "0", "--temperature", "0"]))
+    assert result.exit_code == 0, result.output
 
 
 def test_cli_evaluate_empty_data_file_is_one_input_line(runner, fixture_files, tmp_path):

@@ -16,10 +16,12 @@ from sommetrics import (
     distortion,
     init_codebook,
     project,
+    quantization_error,
     receptive_field_connectivity,
+    topographic_error,
     train_som,
 )
-from sommetrics import model
+from sommetrics import internal, model
 from sommetrics.grid import TOPOLOGIES
 from sommetrics.report import METRIC_NAMES, REGISTRY, _computations, _jsonable
 
@@ -376,6 +378,61 @@ def test_an_evaluation_whose_distortion_fails_computes_the_rest_as_without_it(ca
             assert with_distortion.pop("distortion").startswith(message)
             assert with_distortion == without
     assert sum(value.startswith("ValueError") for value in without.values()) < len(others) / 2
+
+
+def _count_distortion_passes(monkeypatch) -> list:
+    """Records (temperature, kernel) of every distortion pass, kept or direct."""
+    passes = []
+    distortion_pass = model._distortion_pass
+
+    def counting_passes(*args):
+        passes.append(args[2:])
+        return distortion_pass(*args)
+
+    for module in (model, internal):
+        monkeypatch.setattr(module, "_distortion_pass", counting_passes)
+    return passes
+
+
+@pytest.mark.parametrize("metrics", [("quantization_error", "distortion", "topographic_error"),
+                                     ("distortion", "quantization_error", "topographic_error")])
+def test_an_evaluation_whose_distortion_fails_runs_its_pass_once(monkeypatch, metrics):
+    # the inputs of test_distortion_total_overflow_is_an_error: the pass's
+    # error is kept for distortion, so the N x K pass does not run again
+    rng = np.random.default_rng(6)
+    cb, data = CodeBook(rng.random((9, 4)) * 1e153, MapGrid(3, 3)), Dataset(rng.random((200, 4)) * 1e153)
+    with pytest.raises(ValueError) as failure:
+        distortion(cb, data, 1.0)
+    direct = {"distortion": f"ValueError: {failure.value}",
+              "quantization_error": repr(quantization_error(cb, data)),
+              "topographic_error": repr(topographic_error(cb, data))}
+    passes = _count_distortion_passes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcomes(cb, data, metrics, 1.0) == direct
+    assert passes == [(1.0, GAUSSIAN)]
+
+
+@pytest.mark.parametrize("case", ["another temperature", "another kernel", "distortion not asked for"])
+def test_distortion_outside_the_evaluation_plan_runs_its_own_pass(monkeypatch, case):
+    # the scope asks for distortion at 0.6 with the gaussian kernel, or not at
+    # all; a call at other parameters neither reads nor changes what it keeps
+    rng = np.random.default_rng(11)
+    cb = CodeBook(rng.integers(-2, 3, (6, 2)).astype(float), MapGrid(2, 3, "hexagonal"))
+    data = Dataset(rng.integers(-3, 4, (300, 2)).astype(float))  # two blocks
+    asked = case != "distortion not asked for"
+    own = {"another temperature": (0.9, GAUSSIAN), "another kernel": (0.6, WINDOW)}.get(case, (0.6, GAUSSIAN))
+    direct = distortion(cb, data, *own)
+    passes = _count_distortion_passes(monkeypatch)
+    metrics = ("quantization_error", "distortion") if asked else ("quantization_error",)
+    with model._shared_results(cb, data, metrics, temperature=0.6) as evaluation:
+        assert distortion(cb, data, *own) == direct
+        assert evaluation.distortion is None and evaluation.ranks is None
+        project(cb, data, depth=1)
+        kept = evaluation.distortion, evaluation.ranks
+        assert distortion(cb, data, *own) == direct
+        assert evaluation.distortion is kept[0] and evaluation.ranks is kept[1]
+    assert passes == ([own, (0.6, GAUSSIAN), own] if asked else [own, own])
 
 
 def test_project_depth_k_memory_is_bounded():
