@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import distance_matrix
+from .grid import adjacency_pairs
+from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
 from .model import CodeBook, Dataset, project
 
 
@@ -79,13 +80,21 @@ def clustering_accuracy(assignments, labels) -> float:
     return float(counts[rows, cols].sum() / counts.sum())
 
 
-def _component_count(grid, marked: np.ndarray) -> int:
-    """Connected components among ``marked`` units under map adjacency (distance 1)."""
+def _component_count(edges: np.ndarray, n_units: int, marked: np.ndarray) -> int:
+    """Connected components among ``marked`` units, joined by the map's ``edges`` (``adjacency_pairs``).
+
+    The graph keeps every unit but only the edges between marked units, so
+    each unmarked unit is a component of its own and is not counted.
+    """
     # scipy loads on first use, so that importing the package and training do not pay for it
+    from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
-    adjacent = distance_matrix(grid)[np.ix_(marked, marked)] == 1
-    return connected_components(adjacent, directed=False)[0]
+    inside = np.zeros(n_units, dtype=bool)
+    inside[marked] = True
+    a, b = edges[inside[edges].all(axis=1)].T
+    graph = coo_array((np.ones(len(a)), (a, b)), shape=(n_units, n_units)).tocsr()
+    return connected_components(graph, directed=False)[0] - (n_units - len(marked))
 
 
 def class_scatter_index(codebook: CodeBook, data: Dataset) -> float:
@@ -100,5 +109,7 @@ def class_scatter_index(codebook: CodeBook, data: Dataset) -> float:
         raise ValueError("class scatter index requires labels")
     bmus = project(codebook, data, depth=1).bmu
     counts = contingency_table(bmus, _dense_ids(data.labels, "labels"), n_clusters=codebook.n_units)
-    groups = [_component_count(codebook.grid, np.flatnonzero(counts[:, j] > 0)) for j in range(counts.shape[1])]
+    edges = adjacency_pairs(codebook.grid)
+    groups = [_component_count(edges, codebook.n_units, np.flatnonzero(counts[:, j] > 0))
+              for j in range(counts.shape[1])]
     return float(np.mean(groups))

@@ -3,7 +3,11 @@
 Units are indexed 0..K-1 in row-major order everywhere (codebook rows, label
 outputs, SVG layout). The inter-unit distance is the shortest-path length on
 the lattice graph: Manhattan distance on 4-connected rectangular grids, cube
-distance on 6-connected hexagonal grids (even-row offset layout).
+distance on 6-connected hexagonal grids (even-row offset layout). It depends
+only on the row and column offsets between two units, and on the hexagonal
+grid on the source row's parity, so every distance is read from one O(K)
+table per grid (``_offset_tables``); only the public ``distance_matrix``
+builds the K x K matrix.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 TOPOLOGIES = ("rectangular", "hexagonal")
 KERNEL_KINDS = ("gaussian", "window")
@@ -53,18 +58,18 @@ class MapGrid:
         """Shortest-path length between units ``k`` and ``l`` on the lattice graph."""
         self._check_index(k)
         self._check_index(l)
-        return int(distance_matrix(self)[k, l])
+        return int(_pair_distances(self, k, l))
 
     def neighbors(self, k: int) -> np.ndarray:
         """Indices of all units at lattice distance exactly 1 from ``k``, ascending."""
         self._check_index(k)
-        return np.flatnonzero(distance_matrix(self)[k] == 1)
+        return np.flatnonzero(_distance_rows(self, [k])[0] == 1)
 
     def max_distance(self) -> int:
         """Lattice diameter: the largest inter-unit distance over all pairs."""
         if self.n_units < 2:
             raise ValueError("map diameter is undefined for a single-unit grid")
-        return int(distance_matrix(self).max())
+        return _diameter(self)
 
     def _check_index(self, k: int) -> None:
         if not 0 <= k < self.n_units:
@@ -72,28 +77,98 @@ class MapGrid:
 
 
 @lru_cache(maxsize=16)
+def _offset_tables(grid: MapGrid) -> np.ndarray:
+    """(2, 2R-1, 2C-1) lattice distances by source row parity and offset; cached per grid, read-only.
+
+    Entry ``[p, R-1+dr, C-1+dc]`` is the distance from a unit in a row of
+    parity ``p`` to the unit ``dr`` rows and ``dc`` columns away. Only the
+    hexagonal layout depends on the parity: in axial coordinates
+    q = col - ceil(row/2), a step of ``dr`` rows shifts q by ceil(dr/2) from an
+    even row and by floor(dr/2) from an odd one.
+    """
+    R, C = grid.rows, grid.cols
+    dr = np.arange(1 - R, R)[:, None]
+    dc = np.arange(1 - C, C)
+    tables = np.empty((2, 2 * R - 1, 2 * C - 1), dtype=np.int64)
+    for parity, table in enumerate(tables):
+        if grid.topology == "rectangular":
+            np.add(np.abs(dr), np.abs(dc), out=table)
+            continue
+        np.subtract(dc, (dr + 1 - parity) // 2, out=table)  # dq, the axial column step
+        across = table + dr
+        np.abs(across, out=across)
+        np.abs(table, out=table)
+        table += across
+        table += np.abs(dr)
+        table //= 2
+    tables.setflags(write=False)
+    return tables
+
+
+def _distance_windows(grid: MapGrid, by_distance: np.ndarray | None = None) -> np.ndarray:
+    """(2, R, C, R, C) read-only view of the offset tables: ``[r & 1, R-1-r, C-1-c]`` is unit (r, c)'s row.
+
+    That (R, C) window holds the distance from unit (r, c) to every unit in
+    row-major order, without a copy. Given ``by_distance``, values indexed by
+    map distance, the windows are those of ``by_distance[tables]``, so a row
+    holds each unit's value at its distance from unit (r, c).
+    """
+    tables = _offset_tables(grid) if by_distance is None else by_distance[_offset_tables(grid)]
+    return sliding_window_view(tables, (grid.rows, grid.cols), axis=(1, 2))
+
+
+def _distance_rows(grid: MapGrid, units, by_distance: np.ndarray | None = None) -> np.ndarray:
+    """(B, K) rows of ``distance_matrix`` for the B ``units``, int64, or of ``by_distance`` at those distances."""
+    r, c = np.divmod(np.asarray(units), grid.cols)
+    windows = _distance_windows(grid, by_distance)
+    return windows[r & 1, grid.rows - 1 - r, grid.cols - 1 - c].reshape(len(r), grid.n_units)
+
+
+def _pair_distances(grid: MapGrid, a, b) -> np.ndarray:
+    """Distances between units ``a`` and ``b``, elementwise (broadcasting): ``distance_matrix(grid)[a, b]``."""
+    ra, ca = np.divmod(a, grid.cols)
+    rb, cb = np.divmod(b, grid.cols)
+    return _offset_tables(grid)[ra & 1, grid.rows - 1 + rb - ra, grid.cols - 1 + cb - ca]
+
+
+def _diameter(grid: MapGrid) -> int:
+    """The largest inter-unit distance, 0 on a single unit, from the offsets that each row parity reaches.
+
+    Rows of parity p run from p to the last such row, R-1-(R-1-p)%2, so they
+    reach the row offsets from -(that row) to R-1-p, and every column offset.
+    """
+    R, tables = grid.rows, _offset_tables(grid)
+    return max(int(tables[p, (R - 1 - p) % 2:2 * R - 1 - p].max()) for p in range(min(2, R)))
+
+
+@lru_cache(maxsize=16)
 def distance_matrix(grid: MapGrid) -> np.ndarray:
-    """K x K matrix of inter-unit distances; cached per grid, read-only."""
-    idx = np.arange(grid.n_units)
-    rows = idx // grid.cols
-    cols = idx % grid.cols
-    if grid.topology == "rectangular":
-        d = np.abs(rows[:, None] - rows[None, :]) + np.abs(cols[:, None] - cols[None, :])
-    else:
-        q = cols - (rows + (rows & 1)) // 2  # even-row offset -> axial (even rows pushed half a cell right)
-        dq = q[:, None] - q[None, :]
-        dr = rows[:, None] - rows[None, :]
-        d = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
-    d = d.astype(np.int64)
+    """K x K matrix of inter-unit distances; cached per grid, read-only.
+
+    Public, and O(K^2) in time and memory: no metric and not the trainer use
+    it; they read rows or pairs of the O(K) offset tables instead. Built from
+    those tables' windows, so it peaks at one copy of the result.
+    """
+    d = _distance_rows(grid, np.arange(grid.n_units))
     d.setflags(write=False)
     return d
 
 
 def adjacency_pairs(grid: MapGrid) -> np.ndarray:
-    """(n_edges, 2) array of unit index pairs (a < b) at lattice distance 1."""
-    d = distance_matrix(grid)
-    a, b = np.nonzero(np.triu(d == 1))
-    return np.column_stack([a, b])
+    """(n_edges, 2) array of unit index pairs (a < b) at lattice distance 1, sorted by a, then b.
+
+    A unit's neighbors of higher index are 1, C-1, C or C+1 units on; each
+    such candidate pair is kept when its distance is 1, which also drops the
+    steps that wrap around a row's end.
+    """
+    K, C = grid.n_units, grid.cols
+    steps = np.unique([1, C - 1, C, C + 1])  # ascending, so b ascends for each a
+    steps = steps[steps > 0]
+    a = np.repeat(np.arange(K), len(steps))
+    b = a + np.tile(steps, K)
+    a, b = a[b < K], b[b < K]
+    adjacent = _pair_distances(grid, a, b) == 1
+    return np.column_stack([a[adjacent], b[adjacent]])
 
 
 @dataclass(frozen=True)
@@ -136,7 +211,7 @@ class NeighborhoodKernel:
 
 def _weights_by_distance(kernel: NeighborhoodKernel, grid: MapGrid, temperature: float) -> np.ndarray:
     """Weights at map distances 0..diameter; ``ValueError`` naming the temperature if float64 cannot hold one."""
-    diameter = int(distance_matrix(grid).max())
+    diameter = _diameter(grid)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return kernel.weight(np.arange(diameter + 1.0), temperature)

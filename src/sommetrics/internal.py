@@ -10,10 +10,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GAUSSIAN, NeighborhoodKernel, adjacency_pairs, distance_matrix
+from .grid import GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _pair_distances, adjacency_pairs
+from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
 from .model import (_BLOCK, CodeBook, Dataset, _check_kse, _check_order, _check_samples, _distortion_pass,
                     _evaluation, _evaluation_distortion_pass, _overflow_is_an_error, _paired_squared_distances,
-                    bmu_distances, project, receptive_field_connectivity, squared_distances)
+                    bmu_distances, project, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -46,8 +47,7 @@ def topographic_error(codebook: CodeBook, data: Dataset) -> float:
     if codebook.n_units < 2:
         raise ValueError("topographic error requires at least two units")
     proj = project(codebook, data, depth=2)
-    dmat = distance_matrix(codebook.grid)
-    return float(np.mean(dmat[proj.bmu, proj.second_bmu] > 1))
+    return float(np.mean(_pair_distances(codebook.grid, proj.bmu, proj.second_bmu) > 1))
 
 
 def _map_path_costs(codebook: CodeBook, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -144,8 +144,9 @@ def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: b
 
     ``k`` is the trust/NP order (None: off); ``kse`` and ``c`` switch on the
     Kruskal-Shepard and C sums. Each block computes its squared input and BMU
-    map distances once. The KSE and C sums are taken first, on those (B, N)
-    arrays and in block order; the trust/NP work then reuses the distances.
+    map distances once, the latter from the distance rows of its BMUs. The
+    KSE and C sums are taken first, on those (B, N) arrays and in block
+    order; the trust/NP work then reuses the distances.
     The block size is a constant, so summation order and output bits never
     depend on the machine.
     """
@@ -157,15 +158,15 @@ def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: b
         kse = max_d2 != 0.0  # all samples identical: the KSE cannot be scaled, and fails on its own
     if k is None and not kse and not c:
         return _PairSums(None, None, None)
-    dmat = distance_matrix(codebook.grid)
+    grid = codebook.grid
     if k is not None:
-        cuts, sizes, closer = _map_ranks(dmat, bmus, k)
+        cuts, sizes, closer = _map_ranks(grid, bmus, k)
         trust_terms, np_terms = np.empty(n), np.empty(n)
     kse_sum = c_sum = 0.0
     for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
         d2 = squared_distances(x[rows], x)
-        dm = dmat[bmus[rows]].take(bmus, axis=1)
+        dm = _distance_rows(grid, bmus[rows]).take(bmus, axis=1)
         if kse:
             terms = d2 / max_d2
             terms -= dm / delta_max
@@ -221,17 +222,23 @@ def _max_squared_distance(x: np.ndarray) -> float:
     return float(max(squared_distances(kept[s:s + _BLOCK], kept).max() for s in range(0, len(kept), _BLOCK)))
 
 
-def _map_ranks(dmat: np.ndarray, bmus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _map_ranks(grid, bmus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map-side ranks of trust/NP per BMU unit: (cut, projected-set size, strictly-closer counts).
 
     For a sample on unit u, the other samples lie at map distances
-    ``dmat[u, bmus]``; ``counts[u, v]`` counts them at distance v. The cut is
-    the k-th smallest of those distances, the size K_i counts the samples
-    within the cut, and ``closer[u, v]`` those strictly closer than v.
+    ``distance_matrix(grid)[u, bmus]``; ``counts[u, v]`` counts them at
+    distance v. The cut is the k-th smallest of those distances, the size K_i
+    counts the samples within the cut, and ``closer[u, v]`` those strictly
+    closer than v. Counted from the distance rows of ``_BLOCK`` BMU units at a
+    time; the entries of a unit that is no BMU are never read.
     """
-    K = len(dmat)
-    counts = np.zeros((K, int(dmat.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (np.arange(K)[:, None], dmat), np.bincount(bmus, minlength=K))
+    K = grid.n_units
+    per_unit = np.bincount(bmus, minlength=K)
+    counts = np.zeros((K, _diameter(grid) + 1), dtype=np.int64)
+    units = np.flatnonzero(per_unit)
+    for start in range(0, len(units), _BLOCK):
+        block = units[start:start + _BLOCK]
+        np.add.at(counts, (block[:, None], _distance_rows(grid, block)), per_unit)
     counts[:, 0] -= 1  # the sample itself, at map distance 0
     within = np.cumsum(counts, axis=1)
     cuts = np.argmax(within >= k, axis=1)
@@ -313,22 +320,23 @@ def topographic_product(codebook: CodeBook) -> float:
     if K < 2:
         raise ValueError("topographic product requires at least two units")
     p = codebook.prototypes
-    dmap = distance_matrix(codebook.grid).astype(float)
 
     orders = 1.0 / (2.0 * np.arange(1, K))
     total = 0.0
     for start in range(0, K, _BLOCK):
         dins = squared_distances(p[start:start + _BLOCK], p)
-        for j, din in enumerate(np.sqrt(dins, out=dins), start):
+        dmaps = _distance_rows(codebook.grid, np.arange(start, start + len(dins)))
+        for din, dmap in zip(np.sqrt(dins, out=dins), dmaps):
             if np.count_nonzero(din == 0.0) > 1:
                 raise ValueError("duplicate prototypes: topographic product needs nonzero pairwise distances")
-            # unit j is the only zero on both sides, so it sorts first; stable
-            # sorts keep the relative order of the other units
-            by_map = np.argsort(dmap[j], kind="stable")[1:]
+            # the row's own unit is the only zero on both sides, so it sorts
+            # first; stable sorts keep the relative order of the other units
+            by_map = np.argsort(dmap, kind="stable")[1:]
             by_input = np.argsort(din, kind="stable")[1:]
             logs = (np.log(din[by_map]) - np.log(din[by_input])
-                    + np.log(dmap[j, by_map]) - np.log(dmap[j, by_input]))
+                    + np.log(dmap[by_map]) - np.log(dmap[by_input]))
             total += float((np.cumsum(logs) * orders).sum())
+        del dins, dmaps, din, dmap  # the block and its row views, freed before the next block's distances
     return total / (K * (K - 1))
 
 
@@ -350,22 +358,25 @@ def topographic_function(codebook: CodeBook, data: Dataset, k_max: int | None = 
     """Count, per radius k, ordered unit pairs with adjacent receptive fields but map distance > k.
 
     Receptive-field adjacency is estimated from the BMU / second-BMU
-    connectivity of the data. The series runs for k = 1..k_max (default: the
-    map diameter).
+    connectivity of the data (``receptive_field_connectivity``): each
+    unordered pair of units that are BMU and second BMU of some sample counts
+    as two ordered pairs. The series runs for k = 1..k_max (default: the map
+    diameter).
     """
-    if codebook.n_units < 2:
+    K = codebook.n_units
+    if K < 2:
         raise ValueError("topographic function requires at least two units")
     grid = codebook.grid
-    conn = receptive_field_connectivity(codebook, data)
+    proj = project(codebook, data, depth=2)
+    pairs = np.unique(np.minimum(proj.bmu, proj.second_bmu) * K + np.maximum(proj.bmu, proj.second_bmu))
     delta_max = grid.max_distance()
     if k_max is None:
         k_max = delta_max
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    pair_dists = distance_matrix(grid)[conn]  # ordered pairs: symmetric mask
+    pair_dists = _pair_distances(grid, *np.divmod(pairs, K))
     ks = np.arange(1, k_max + 1)
-    tf = (pair_dists[None, :] > ks[:, None]).sum(axis=1)
-    K = codebook.n_units
+    tf = 2 * (pair_dists[None, :] > ks[:, None]).sum(axis=1)
     denom = K * (K - 3 ** grid.dimensionality)
     normalized_tf = tf / denom if denom > 0 else None
     return TopographicFunction(ks, tf, ks / delta_max, normalized_tf)

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GAUSSIAN, MapGrid, NeighborhoodKernel, _weights_by_distance, distance_matrix
+from .grid import (GAUSSIAN, MapGrid, NeighborhoodKernel, _diameter, _distance_rows, _distance_windows,
+                   _weights_by_distance)
+from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
 
 
 def _finite_matrix(values, name: str) -> np.ndarray:
@@ -400,13 +402,14 @@ def _distortion_pass(codebook: CodeBook, data: Dataset, temperature: float,
 
     One exact pass over ``_BLOCK``-row blocks of ``squared_distances``: each
     block's BMUs (``argmin``, ties to the lowest unit, as in ``project``) pick
-    the kernel weights of every unit; the BMU entries are then set to inf, and
-    a second ``argmin`` gives the second BMUs. Raises ``ValueError`` when the
+    the kernel weights of every unit by the BMUs' distance rows; the BMU
+    entries are then set to inf, and a second ``argmin`` gives the second
+    BMUs. Raises ``ValueError`` when the
     kernel cannot weigh the map at ``temperature``, or when a distance or the
     running total overflows float64.
     """
     grid = codebook.grid
-    weights = _weights_by_distance(kernel, grid, temperature)[distance_matrix(grid)]  # K x K, by BMU row
+    by_distance = _weights_by_distance(kernel, grid, temperature)
     _check_dims(codebook, data)
     n = data.n_samples
     ranks = np.empty((n, min(2, codebook.n_units)), dtype=np.int64)
@@ -415,7 +418,10 @@ def _distortion_pass(codebook: CodeBook, data: Dataset, temperature: float,
         for start in range(0, n, _BLOCK):
             d2 = squared_distances(data.samples[start:start + _BLOCK], codebook.prototypes)
             bmus = d2.argmin(axis=1)
-            total += (weights[bmus] * d2).sum()
+            weights = _distance_rows(grid, bmus, by_distance)  # B x K, each unit's weight around the row's BMU
+            weights *= d2
+            total += weights.sum()
+            del weights
             block = ranks[start:start + len(d2)]
             block[:, 0] = bmus
             if ranks.shape[1] == 2:
@@ -509,20 +515,21 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     The learning rate times the kernel weight of each map distance
     0..diameter is tabulated for a block of steps at once, at most ``_CHUNK``
     entries and at least one step per table; each step reads its row at every
-    unit's distance from the BMU. The squared differences go to one reused
-    D x K buffer.
+    unit's distance from the BMU, a window of the grid's offset tables. The
+    squared differences go to one reused D x K buffer.
     """
     grid = config.grid
     rng = np.random.default_rng(config.seed)
     pt = np.ascontiguousarray(init_codebook(data, grid, rng).prototypes.T)  # D x K: one row per coordinate
     diff, sq = np.empty_like(pt), np.empty_like(pt)
-    unit_weights = np.empty(pt.shape[1])
+    unit_weights = np.empty((grid.rows, grid.cols))  # the step's weight of each unit, by (row, col)
+    weights_row = unit_weights.reshape(-1)  # the same K weights, in unit order
 
     def squares(i, j):
         return sq[i:j]
 
-    dmat = distance_matrix(grid)
-    span = np.arange(dmat.max() + 1.0)  # every map distance 0..diameter
+    windows, rows, cols = _distance_windows(grid), grid.rows, grid.cols
+    span = np.arange(_diameter(grid) + 1.0)  # every map distance 0..diameter
     x = data.samples
     n, d = x.shape
     ratio = config.t_min / config.t_max
@@ -538,6 +545,8 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
                 np.subtract(x[i, :, None], pt, out=diff)
                 np.square(diff, out=sq)
                 b = int(_pairwise_sum(squares, 0, d).argmin())
-                diff *= rates.take(dmat[b], out=unit_weights)
+                r, c = divmod(b, cols)
+                rates.take(windows[r & 1, rows - 1 - r, cols - 1 - c], out=unit_weights)
+                diff *= weights_row
                 pt += diff
     return CodeBook(pt.T.copy(), grid)

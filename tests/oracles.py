@@ -39,6 +39,31 @@ def bfs_distances(n_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]
     return out
 
 
+def lattice_edges(rows: int, cols: int, topology: str) -> list[tuple[int, int]]:
+    """Unit pairs (a < b) that share an edge of the lattice, sorted, from the layout's neighbor rules.
+
+    Rectangular units touch the units above, below, left and right. Hexagonal
+    units (even rows pushed half a cell right) also touch the units left and
+    right, and two in each adjacent row: columns c and c+1 from an even row,
+    c-1 and c from an odd one.
+    """
+    edges = set()
+    for r in range(rows):
+        moves = [(0, 1), (1, 0)] if topology == "rectangular" else [(0, 1), (1, 0), (1, 1 if r % 2 == 0 else -1)]
+        for c in range(cols):
+            for dr, dc in moves:
+                r2, c2 = r + dr, c + dc
+                if 0 <= r2 < rows and 0 <= c2 < cols:
+                    a, b = r * cols + c, r2 * cols + c2
+                    edges.add((min(a, b), max(a, b)))
+    return sorted(edges)
+
+
+def lattice_distances(rows: int, cols: int, topology: str) -> list[list[int]]:
+    """All-pairs unit distances: breadth-first search on the graph of ``lattice_edges``."""
+    return bfs_distances(rows * cols, lattice_edges(rows, cols, topology))
+
+
 def min_path_cost_exhaustive(n_nodes: int, edges: dict[tuple[int, int], float],
                              start: int, goal: int) -> float:
     """Cheapest start-to-goal path cost by enumerating every simple path."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sommetrics import GAUSSIAN, WINDOW, MapGrid, NeighborhoodKernel, adjacency_pairs, distance_matrix
+from sommetrics.grid import _diameter, _distance_rows, _offset_tables, _pair_distances
 
-from oracles import bfs_distances
+from oracles import bfs_distances, lattice_distances, lattice_edges
 
 SHAPES = [(1, 2), (2, 1), (1, 7), (3, 3), (2, 5), (4, 4), (5, 5), (3, 7), (10, 10)]
 
@@ -25,6 +27,55 @@ def test_distance_equals_bfs_on_adjacency(shape, topology):
     assert np.array_equal(distance_matrix(grid), expected)
     K = grid.n_units
     assert [[grid.distance(k, l) for l in range(K)] for k in range(K)] == expected.tolist()
+
+
+LATTICES = [(r, c) for r in range(1, 10) for c in range(1, 10)] + [(2, 31), (31, 2), (30, 30)]
+
+
+@pytest.mark.parametrize("shape", LATTICES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
+@pytest.mark.parametrize("topology", ["rectangular", "hexagonal"])
+def test_offset_table_geometry_equals_lattice_bfs(shape, topology):
+    # every reader of the offset tables against breadth-first search on the
+    # lattice graph built from the layout's own neighbor rules
+    grid = MapGrid(*shape, topology)
+    expected = np.array(lattice_distances(*shape, topology))
+    K = grid.n_units
+    units = np.arange(K)
+    shuffled = np.random.default_rng(K).permutation(K)  # rows of any units, in any order
+    rows = _distance_rows(grid, shuffled)
+    assert rows.dtype == np.int64 and np.array_equal(rows, expected[shuffled])
+    assert np.array_equal(_pair_distances(grid, units[:, None], units), expected)
+    assert _pair_distances(grid, K - 1, 0) == expected[K - 1, 0]
+    matrix = distance_matrix(grid)
+    assert matrix.dtype == np.int64 and not matrix.flags.writeable and np.array_equal(matrix, expected)
+    assert _diameter(grid) == expected.max()
+    if K > 1:
+        assert grid.max_distance() == expected.max()
+    assert adjacency_pairs(grid).tolist() == [list(edge) for edge in lattice_edges(*shape, topology)]
+
+
+def _cold_peak_mib(fn):
+    """Traced peak of one call with the grid caches emptied first, and the call's result."""
+    _offset_tables.cache_clear()
+    distance_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        value = fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20, value
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_lookup_on_a_large_grid_stays_small():
+    # 100x100 hexagonal: the K x K matrix alone would be 763 MiB, the offset
+    # tables are 0.6 MiB
+    grid = MapGrid(100, 100, "hexagonal")
+    for call, expected in ((lambda: grid.distance(0, 9999), 148),
+                           (lambda: grid.neighbors(5050).tolist(), [4950, 4951, 5049, 5051, 5150, 5151]),
+                           (grid.max_distance, 149)):
+        peak, value = _cold_peak_mib(call)
+        assert value == expected
+        assert peak < 2.0, peak
 
 
 @pytest.mark.parametrize("topology", ["rectangular", "hexagonal"])

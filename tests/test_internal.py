@@ -13,8 +13,10 @@ from sommetrics import (
     CodeBook,
     Dataset,
     MapGrid,
+    TrainerConfig,
     adjacency_pairs,
     c_measure,
+    class_scatter_index,
     combined_error,
     distance_matrix,
     distortion,
@@ -25,9 +27,11 @@ from sommetrics import (
     topographic_error,
     topographic_function,
     topographic_product,
+    train_som,
     trustworthiness,
 )
 from sommetrics import internal
+from sommetrics.grid import _offset_tables
 from sommetrics.internal import _map_path_costs
 from sommetrics.model import _shared_results, bmu_distances, squared_distances
 
@@ -322,6 +326,37 @@ def _traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_map_side_metrics_and_the_trainer_stay_below_a_distance_matrix():
+    # 50x50 hexagonal, K = 2500: one K x K int64 matrix is 48 MiB. Each call
+    # first runs on a 3x3 map, so that imports are not counted, then on the
+    # large map with the grid caches emptied, so that a call that built the
+    # matrix would pay for it.
+    rng = np.random.default_rng(5)
+    calls = {
+        "distortion": lambda cb, data: distortion(cb, data, 1.0),
+        "topographic_error": topographic_error,
+        "topographic_function": topographic_function,
+        "topographic_product": lambda cb, data: topographic_product(cb),
+        "combined_error": combined_error,
+        "class_scatter_index": class_scatter_index,
+        "trustworthiness": lambda cb, data: trustworthiness(cb, data, 10),
+        "neighborhood_preservation": lambda cb, data: neighborhood_preservation(cb, data, 10),
+        "trainer": lambda cb, data: train_som(data, TrainerConfig(cb.grid.rows, cb.grid.cols, cb.grid.topology,
+                                                                  iterations=200)),
+    }
+    operands = []
+    for rows, cols, n in ((3, 3, 30), (50, 50, 600)):
+        grid = MapGrid(rows, cols, "hexagonal")
+        operands.append((CodeBook(rng.normal(size=(grid.n_units, 3)), grid),
+                         Dataset(rng.normal(size=(n, 3)), labels=rng.integers(0, 4, n))))
+    for name, call in calls.items():
+        call(*operands[0])
+        _offset_tables.cache_clear()
+        distance_matrix.cache_clear()
+        peak = _traced_peak(call, *operands[1])
+        assert peak < 32 * 2**20, (name, peak / 2**20)
 
 
 def test_trust_below_one_when_clusters_collapse_onto_adjacent_units():

@@ -22,7 +22,7 @@ from sommetrics import (
     train_som,
 )
 from sommetrics import internal, model
-from sommetrics.grid import TOPOLOGIES
+from sommetrics.grid import TOPOLOGIES, _offset_tables, distance_matrix
 from sommetrics.report import METRIC_NAMES, REGISTRY, _computations, _jsonable
 
 from oracles import project_bruteforce, train_som_reference
@@ -652,6 +652,20 @@ def test_trainer_config_refuses_t_min_the_gaussian_cannot_weigh():
         warnings.simplefilter("error")
         codebook = train_som(data, TrainerConfig(2, 3, t_max=1.0, t_min=1e-153, iterations=200))
     assert np.all(np.isfinite(codebook.prototypes))
+
+
+def test_trainer_config_checks_t_min_without_the_distance_matrix():
+    # the check weighs map distances 0..diameter and needs only the
+    # diameter; on a 100x100 hexagonal map the K x K matrix would be 763 MiB
+    _offset_tables.cache_clear()
+    distance_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        TrainerConfig(100, 100, "hexagonal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_dataset_label_validation():
