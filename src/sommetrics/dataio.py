@@ -3,6 +3,12 @@
 Codebook files hold one prototype per line in row-major unit order; label
 files hold one integer per line. Matrices are written with 17 significant
 digits so a write/read round trip reproduces the exact float64 values.
+
+Files are read as a stream: text pieces of about ``_PIECE`` characters are
+parsed into blocks of at most ``_BLOCK`` values, and the blocks are joined at
+the end. A load holds one piece and one block of Python values besides the
+parsed blocks, so it peaks near twice the result's bytes for a file of any
+size. Both sizes are fixed here, never taken from the machine.
 """
 from __future__ import annotations
 
@@ -13,43 +19,112 @@ import numpy as np
 
 from .errors import InputError
 
+_PIECE = 1 << 16  # characters read from a file at a time
+_BLOCK = 1 << 10  # values parsed into one block of the result
 
-def _data_lines(path: Path, what: str):
-    """(line number, stripped text) of each nonblank line; raises InputError naming the file."""
+
+def _pieces(path):
+    """The text of file ``path`` in pieces, each but the last cut right after a ``\\n``; raises InputError.
+
+    Text mode turns ``\\r\\n`` and a lone ``\\r`` into ``\\n``, so no line
+    break spans two pieces and ``str.splitlines`` on the pieces gives the
+    lines of the whole text. A decode error names its position in the whole
+    file, as reading the file at once does.
+    """
+    tail = []  # the text after the last "\n" read so far
     try:
-        text = path.read_text()
+        with open(path) as file:
+            while piece := file.read(_PIECE):
+                cut = piece.rfind("\n") + 1
+                if cut:
+                    yield "".join(tail) + piece[:cut]
+                    tail = []
+                tail.append(piece[cut:])
+    except UnicodeDecodeError as exc:
+        try:  # the piece's error counts from the piece: decode the whole file once more
+            Path(path).read_text()
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise InputError(f"{path}: {exc}") from exc  # the path as given, as the commands name a file's contents
     except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    if not text or text.isspace():  # every line is blank once stripped
-        raise InputError(f"{path}: file holds no {what}")
-    return ((n, s) for n, line in enumerate(text.splitlines(), start=1) if (s := line.strip()))
+        raise InputError(f"{Path(path)}: {exc.strerror or exc}") from exc
+    yield "".join(tail)
+
+
+def _data_lines(path, what: str):
+    """(line number, stripped text) of each nonblank line; raises InputError naming the file."""
+    lineno, found = 0, False
+    for text in _pieces(path):
+        for line in text.splitlines():
+            lineno += 1
+            if s := line.strip():
+                found = True
+                yield lineno, s
+    if not found:  # every line is blank once stripped
+        raise InputError(f"{Path(path)}: file holds no {what}")
+
+
+def _bad_row(lines, message: str) -> InputError:
+    """InputError(message), once the rest of ``lines`` is read: a decode error anywhere in the file wins."""
+    for _ in lines:
+        pass
+    return InputError(message)
 
 
 def load_matrix(path) -> np.ndarray:
-    """Parse a comma-separated numeric matrix; raises InputError naming file and line."""
+    """Parse a comma-separated numeric matrix; raises InputError naming file and line.
+
+    Rows are parsed with ``float()`` into float64 blocks of ``_BLOCK // D``
+    rows (at least one), and the blocks are joined once the file is read.
+    """
+    lines = _data_lines(path, "data rows")
     path = Path(path)
-    rows: list[list[float]] = []
-    for lineno, line in _data_lines(path, "data rows"):
+    blocks, rows, width, per_block = [], [], 0, 0
+    for lineno, line in lines:
         try:
             row = [float(f) for f in line.split(",")]
         except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: not a numeric row: {line!r}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise InputError(f"{path}:{lineno}: expected {len(rows[0])} columns, found {len(row)}")
+            raise _bad_row(lines, f"{path}:{lineno}: not a numeric row: {line!r}") from exc
+        if not width:
+            width = len(row)
+            per_block = max(1, _BLOCK // width)
+        elif len(row) != width:
+            raise _bad_row(lines, f"{path}:{lineno}: expected {width} columns, found {len(row)}")
         rows.append(row)
-    return np.asarray(rows, dtype=float)
+        if len(rows) == per_block:
+            blocks.append(np.array(rows, dtype=float))
+            rows = []
+    blocks.append(np.array(rows, dtype=float).reshape(-1, width))
+    rows.clear()  # free the last block's Python floats before the join
+    return np.concatenate(blocks)
 
 
 def load_labels(path) -> np.ndarray:
-    """Parse one integer class id per line; raises InputError naming file and line."""
+    """Parse one integer class id per line; raises InputError naming file and line.
+
+    Labels are parsed with ``int()`` into int64 blocks of ``_BLOCK`` labels.
+    A label outside int64 raises numpy's ``OverflowError`` once the whole file
+    parses, as converting all the labels at once does.
+    """
+    lines = _data_lines(path, "labels")
     path = Path(path)
-    labels = []
-    for lineno, line in _data_lines(path, "labels"):
+    blocks, labels, overflow = [], [], None
+    for lineno, line in lines:
         try:
             labels.append(int(line))
         except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
-    return np.asarray(labels, dtype=np.int64)
+            raise _bad_row(lines, f"{path}:{lineno}: not an integer label: {line!r}") from exc
+        if len(labels) == _BLOCK:
+            try:
+                blocks.append(np.array(labels, dtype=np.int64))
+            except OverflowError as exc:
+                overflow = overflow or exc
+            labels = []
+    if overflow is not None:
+        raise overflow
+    blocks.append(np.array(labels, dtype=np.int64))
+    labels.clear()
+    return np.concatenate(blocks)
 
 
 def save_matrix(path, matrix: np.ndarray) -> None:

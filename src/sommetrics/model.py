@@ -133,6 +133,8 @@ def _overflow_is_an_error():
 # many are live) and sample indices per draw of the trainer; a constant, so
 # bits never depend on the machine.
 _CHUNK = 65_536
+_TABLE = 8_192  # entries per weight table of the trainer
+_SLICE = 4_096  # the trainer's drawn indices turned into Python ints at a time
 _BLOCK = 256  # rows per block of every scan (projection, pair scans, distortion, topographic product)
 
 
@@ -501,6 +503,18 @@ class TrainerConfig:
         return MapGrid(self.rows, self.cols, self.topology)
 
 
+def _draws(rng: np.random.Generator, n: int, count: int):
+    """``count`` sample indices below ``n`` as Python ints: the stream of one draw per step.
+
+    They are drawn ``_CHUNK`` at a time and turned into ints ``_SLICE`` at a
+    time, so no list of a whole chunk is built.
+    """
+    for start in range(0, count, _CHUNK):
+        chunk = rng.integers(n, size=min(_CHUNK, count - start))
+        for s in range(0, len(chunk), _SLICE):
+            yield from chunk[s:s + _SLICE].tolist()
+
+
 def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     """Run the stochastic training loop and return the trained codebook.
 
@@ -513,7 +527,7 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     summed in the order of ``squared_distances``. Deterministic given the seed.
 
     The learning rate times the kernel weight of each map distance
-    0..diameter is tabulated for a block of steps at once, at most ``_CHUNK``
+    0..diameter is tabulated for a block of steps at once, at most ``_TABLE``
     entries and at least one step per table; each step reads its row at every
     unit's distance from the BMU, a window of the grid's offset tables. The
     squared differences go to one reused D x K buffer.
@@ -534,9 +548,8 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     n, d = x.shape
     ratio = config.t_min / config.t_max
     iters = config.iterations
-    per_table = max(1, _CHUNK // len(span))
-    draws = (i for start in range(0, iters, _CHUNK)  # one draw per step, drawn a chunk at a time
-             for i in rng.integers(n, size=min(_CHUNK, iters - start)).tolist())
+    per_table = max(1, _TABLE // len(span))
+    draws = _draws(rng, n, iters)
     with _overflow_is_an_error():
         for first in range(1, iters + 1, per_table):
             anneal = np.array([ratio ** (step / iters) for step in range(first, min(first + per_table, iters + 1))])

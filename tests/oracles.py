@@ -4,16 +4,21 @@ Everything here is written from first principles with explicit loops, rank
 matrices and tie sets, deliberately sharing no code path with the library.
 The one exception is ``train_som_reference``: it keeps the trainer's original
 per-step loop and starts from the library's initial codebook and lattice
-distances, so that trained codebooks can be compared byte for byte.
+distances, so that trained codebooks can be compared byte for byte. The
+file loaders ``load_matrix_reference`` and ``load_labels_reference`` keep the
+original whole-text parsers, so that the streamed ones can be compared with
+them result for result and message for message.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
+from sommetrics.errors import InputError
 from sommetrics.grid import distance_matrix
 from sommetrics.model import _check_dims, _overflow_is_an_error, init_codebook
 
@@ -225,3 +230,41 @@ def train_som_reference(data, config) -> np.ndarray:
             w = config.kernel.weight(dmat[b], t)
             protos += (config.alpha * anneal) * w[:, None] * diff
     return protos
+
+
+def _data_lines_reference(path: Path, what: str):
+    """(line number, stripped text) of each nonblank line of the whole text, read at once."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    if not text or text.isspace():
+        raise InputError(f"{path}: file holds no {what}")
+    return ((n, s) for n, line in enumerate(text.splitlines(), start=1) if (s := line.strip()))
+
+
+def load_matrix_reference(path) -> np.ndarray:
+    """The whole-text matrix parser: the text, its lines and a list of float rows are all alive at once."""
+    path = Path(path)
+    rows: list[list[float]] = []
+    for lineno, line in _data_lines_reference(path, "data rows"):
+        try:
+            row = [float(f) for f in line.split(",")]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: not a numeric row: {line!r}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise InputError(f"{path}:{lineno}: expected {len(rows[0])} columns, found {len(row)}")
+        rows.append(row)
+    return np.asarray(rows, dtype=float)
+
+
+def load_labels_reference(path) -> np.ndarray:
+    """The whole-text label parser: one list of every label, converted at the end."""
+    path = Path(path)
+    labels = []
+    for lineno, line in _data_lines_reference(path, "labels"):
+        try:
+            labels.append(int(line))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
+    return np.asarray(labels, dtype=np.int64)

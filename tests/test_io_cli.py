@@ -2,20 +2,26 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sommetrics as sm
+from sommetrics import dataio
 from sommetrics.cli import main
 from sommetrics.dataio import load_labels, load_matrix, save_matrix
 from sommetrics.demos import _ORGANIZATION_METRICS, _score_maps, run_demo
 from sommetrics.errors import InputError
 from sommetrics.figures import render_map_svg
 from sommetrics.report import EvaluationConfig, _jsonable, evaluate
+
+from oracles import load_labels_reference, load_matrix_reference
 
 
 @pytest.fixture
@@ -83,6 +89,144 @@ def test_load_labels_rejects_non_integers(tmp_path):
     path.write_text("0\nx\n")
     with pytest.raises(InputError, match=r"labels\.txt:2"):
         load_labels(path)
+
+
+# every line break str.splitlines knows, "\r\n" and a lone "\r" included;
+# padding is whitespace that breaks no line
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_PADS = st.sampled_from(["", " ", "\t", "\xa0", "\u3000"])
+_BLANKS = st.lists(_PADS, max_size=3).map("".join)
+
+
+def _padded(tokens):
+    return st.tuples(_PADS, tokens, _PADS).map("".join)
+
+
+@st.composite
+def _file_texts(draw, good_row, bad_row):
+    """Nonblank and blank lines, at most one bad line anywhere, any line breaks, maybe no final one."""
+    lines = draw(st.lists(st.one_of(good_row, _BLANKS), max_size=40))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad_row))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text[:-len(breaks[-1])] if breaks and draw(st.booleans()) else text
+
+
+@st.composite
+def _matrix_texts(draw):
+    width = draw(st.integers(1, 4))
+    field = _padded(st.one_of(st.floats().map(repr), st.sampled_from(
+        ["-0", "1e3", "inf", "-inf", "nan", "1_000", ".5", "5.", "+2", "1e400", "1e-400"])))
+    good_row = st.lists(field, min_size=width, max_size=width).map(",".join)
+    ragged = st.sampled_from([w for w in (width - 1, width + 1) if w]).flatmap(
+        lambda w: st.lists(field, min_size=w, max_size=w)).map(",".join)
+    not_numeric = st.tuples(good_row, st.sampled_from(["oops", "", "0x10", "1,,2"])).map(",".join)
+    return draw(_file_texts(good_row, st.one_of(ragged, not_numeric)))
+
+
+_label_texts = _file_texts(
+    _padded(st.one_of(st.integers(-10**6, 10**6).map(str), st.sampled_from(["+3", "-0", "1_0", "007"]),
+                      # int64's ends, and beyond them numpy's OverflowError
+                      st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1, 10**30]).map(str))),
+    st.sampled_from(["x", "1.5", "1 2", "0x10"]))
+
+
+def _assert_same_load(load, reference, path):
+    """Same array (bytes, shape, dtype, C order) or same exception (type, message)."""
+    try:
+        expected = reference(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as caught:
+            load(path)
+        assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
+        return
+    got = load(path)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.flags.c_contiguous and expected.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_matrix_texts(), _BLANKS), piece=st.sampled_from([1, 7, 64]),
+       block=st.sampled_from([1, 5, dataio._BLOCK]))
+def test_load_matrix_matches_whole_text_oracle(tmp_path, text, piece, block):
+    # pieces of 1, 7 and 64 characters split "\r\n" pairs, lines and rows;
+    # blocks of 1 and 5 values split rows into many parsed blocks
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_PIECE", piece)
+        mp.setattr(dataio, "_BLOCK", block)
+        _assert_same_load(load_matrix, load_matrix_reference, path)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_label_texts, _BLANKS), piece=st.sampled_from([1, 7, 64]),
+       block=st.sampled_from([1, 5, dataio._BLOCK]))
+def test_load_labels_matches_whole_text_oracle(tmp_path, text, piece, block):
+    path = tmp_path / "labels.txt"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_PIECE", piece)
+        mp.setattr(dataio, "_BLOCK", block)
+        _assert_same_load(load_labels, load_labels_reference, path)
+
+
+def test_load_matrix_memory_is_bounded(tmp_path):
+    # the whole text, its line list and a list of float lists peaked at 7.5x
+    # the result; blocks of parsed rows and their join stay near 2x
+    path = tmp_path / "big.csv"
+    save_matrix(path, np.random.default_rng(4).normal(size=(50_000, 16)))
+    tracemalloc.start()
+    try:
+        matrix = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (50_000, 16)
+    assert peak < 2 * matrix.nbytes + 2**20, (peak, matrix.nbytes)
+
+
+def _decode_error(raw: bytes) -> str:
+    with pytest.raises(UnicodeDecodeError) as caught:
+        raw.decode("utf-8")
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("before", ["bad_row", "blank"])
+@pytest.mark.parametrize("load", [load_matrix, load_labels], ids=["load_matrix", "load_labels"])
+def test_undecodable_byte_wins_and_names_its_position_in_the_file(tmp_path, load, before):
+    # the byte sits past the first pieces and past the text decoder's first
+    # read, after a bad row or only blank lines: the decode error still wins,
+    # with its position in the whole file
+    lines = "1\nx\n" + "1\n" * 6000 if before == "bad_row" else " \n" * 6000
+    raw = lines.encode() + b"\xff\n2\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_PIECE", 7)
+        with pytest.raises(InputError) as caught:
+            load(path)
+    assert str(caught.value) == f"{path}: {_decode_error(raw)}"
+    assert f"in position {len(lines)}:" in str(caught.value)
+
+
+@pytest.mark.parametrize("command, bad", [("evaluate", "codebook"), ("evaluate", "data"), ("evaluate", "labels"),
+                                          ("train", "data")])
+def test_cli_undecodable_file_is_one_input_line(runner, fixture_files, tmp_path, command, bad):
+    # an unparsable file is exit 1 for both commands, named by the path as given
+    codebook_path, data_path, labels_path, _, _, _ = fixture_files
+    named = {"codebook": codebook_path, "data": data_path, "labels": labels_path}[bad]
+    raw = named.read_bytes() + b"oops\n\xff\n"  # a bad row first: the decode error still wins
+    named.write_bytes(raw)
+    if command == "evaluate":
+        args = _evaluate_args(codebook_path, data_path, "purity", ["--labels", str(labels_path)])
+    else:
+        args = ["train", "--data", str(data_path), "--rows", "2", "--cols", "2", "--out", str(tmp_path / "cb.csv")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"error: input: {named}: {_decode_error(raw)}"]
 
 
 # ---------------------------------------------------------------------------

@@ -562,11 +562,12 @@ def test_train_window_kernel_bmu_step_contracts():
 def test_train_matches_reference_loop(d, chunk, topology, kernel):
     # the slab-sum BMU, the per-block weight tables and the chunked draws
     # change no bit of the trained codebook; N = 1 and N < K resample the
-    # initial rows. A draw chunk of 7 splits the 60 steps and leaves one step
-    # per weight table (the 1x20 chain's 20 distances exceed it); a chunk of
-    # 47 gives tables of 7, 9 and 2 steps (3x4 rectangular, 3x4 hexagonal,
-    # chain), none of which divides the draw chunk, so tables and draws split
-    # at different steps. The chain's diameter, 19, is large relative to K.
+    # initial rows. A draw chunk and table cap of 7 split the 60 steps and
+    # leave one step per weight table (the 1x20 chain's 20 distances exceed
+    # it); 47 gives tables of 7, 9 and 2 steps (3x4 rectangular, 3x4
+    # hexagonal, chain), none of which divides the draw chunk, so tables and
+    # draws split at different steps. Draws become ints 5 at a time, which
+    # divides neither. The chain's diameter, 19, is large relative to K.
     rng = np.random.default_rng(d)
     cases = [(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d), 4.0, n) for n in (1, 5, 40)]
     # every cyclic shift of v lies at the same exact distance from the
@@ -586,6 +587,8 @@ def test_train_matches_reference_loop(d, chunk, topology, kernel):
         with pytest.MonkeyPatch.context() as mp:
             if chunk:
                 mp.setattr(model, "_CHUNK", chunk)
+                mp.setattr(model, "_TABLE", chunk)
+                mp.setattr(model, "_SLICE", 5)
             trained = train_som(data, config)
         assert trained.prototypes.tobytes() == train_som_reference(data, config).tobytes()
 
@@ -662,6 +665,21 @@ def test_trainer_config_checks_t_min_without_the_distance_matrix():
     tracemalloc.start()
     try:
         TrainerConfig(100, 100, "hexagonal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_train_som_memory_is_bounded():
+    # 70,000 steps draw two chunks of indices; one 65,536-element list of
+    # Python ints would be 2.5 MiB, and weight tables of 65,536 entries 0.5 MiB
+    # each. Ints made 4,096 at a time and tables of 8,192 entries hold ~1 MiB.
+    data = Dataset(np.random.default_rng(0).normal(size=(1000, 2)))
+    config = TrainerConfig(30, 30, "hexagonal", iterations=70_000, seed=0)
+    tracemalloc.start()
+    try:
+        train_som(data, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
