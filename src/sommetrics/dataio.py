@@ -4,11 +4,13 @@ Codebook files hold one prototype per line in row-major unit order; label
 files hold one integer per line. Matrices are written with 17 significant
 digits so a write/read round trip reproduces the exact float64 values.
 
-Files are read as a stream: text pieces of about ``_PIECE`` characters are
-parsed into blocks of at most ``_BLOCK`` values, and the blocks are joined at
-the end. A load holds one piece and one block of Python values besides the
-parsed blocks, so it peaks near twice the result's bytes for a file of any
-size. Both sizes are fixed here, never taken from the machine.
+Files are read as a stream, a line at a time. A matrix's rows are parsed
+into float64 blocks of at most ``_BLOCK`` values, joined at the end, so for a
+file of ``\n``-terminated lines of any number a load holds one line and one
+block of Python floats besides the parsed blocks, and peaks near twice the
+result's bytes. A line that breaks only at characters other than ``\n``
+(such as ``\x0b`` or ``\u2028``) is held whole. ``_BLOCK`` is fixed here,
+never taken from the machine.
 """
 from __future__ import annotations
 
@@ -19,47 +21,39 @@ import numpy as np
 
 from .errors import InputError
 
-_PIECE = 1 << 16  # characters read from a file at a time
-_BLOCK = 1 << 10  # values parsed into one block of the result
+_BLOCK = 1 << 10  # values parsed into one block of a matrix
 
 
-def _pieces(path):
-    """The text of file ``path`` in pieces, each but the last cut right after a ``\\n``; raises InputError.
+def _lines(path):
+    """The lines of file ``path`` as ``str.splitlines`` gives them for the whole text; raises InputError.
 
-    Text mode turns ``\\r\\n`` and a lone ``\\r`` into ``\\n``, so no line
-    break spans two pieces and ``str.splitlines`` on the pieces gives the
-    lines of the whole text. A decode error names its position in the whole
-    file, as reading the file at once does.
+    Text mode turns ``\r\n`` and a lone ``\r`` into ``\n``, so every line
+    read from the file ends at a ``\n`` of the whole text, and splitting each
+    gives the whole text's lines. A decode error names its position in the
+    whole file, as reading the file at once does.
     """
-    tail = []  # the text after the last "\n" read so far
     try:
         with open(path) as file:
-            while piece := file.read(_PIECE):
-                cut = piece.rfind("\n") + 1
-                if cut:
-                    yield "".join(tail) + piece[:cut]
-                    tail = []
-                tail.append(piece[cut:])
+            for raw in file:
+                yield from raw.splitlines()
     except UnicodeDecodeError as exc:
-        try:  # the piece's error counts from the piece: decode the whole file once more
+        try:  # the error counts from the decoder's last read: decode the whole file once more
             Path(path).read_text()
         except UnicodeDecodeError as whole:
             exc = whole
         raise InputError(f"{path}: {exc}") from exc  # the path as given, as the commands name a file's contents
     except OSError as exc:
         raise InputError(f"{Path(path)}: {exc.strerror or exc}") from exc
-    yield "".join(tail)
 
 
 def _data_lines(path, what: str):
     """(line number, stripped text) of each nonblank line; raises InputError naming the file."""
     lineno, found = 0, False
-    for text in _pieces(path):
-        for line in text.splitlines():
-            lineno += 1
-            if s := line.strip():
-                found = True
-                yield lineno, s
+    for line in _lines(path):
+        lineno += 1
+        if s := line.strip():
+            found = True
+            yield lineno, s
     if not found:  # every line is blank once stripped
         raise InputError(f"{Path(path)}: file holds no {what}")
 
@@ -100,31 +94,16 @@ def load_matrix(path) -> np.ndarray:
 
 
 def load_labels(path) -> np.ndarray:
-    """Parse one integer class id per line; raises InputError naming file and line.
-
-    Labels are parsed with ``int()`` into int64 blocks of ``_BLOCK`` labels.
-    A label outside int64 raises numpy's ``OverflowError`` once the whole file
-    parses, as converting all the labels at once does.
-    """
+    """Parse one integer class id per line; raises InputError naming file and line."""
     lines = _data_lines(path, "labels")
     path = Path(path)
-    blocks, labels, overflow = [], [], None
+    labels = []
     for lineno, line in lines:
         try:
             labels.append(int(line))
         except ValueError as exc:
             raise _bad_row(lines, f"{path}:{lineno}: not an integer label: {line!r}") from exc
-        if len(labels) == _BLOCK:
-            try:
-                blocks.append(np.array(labels, dtype=np.int64))
-            except OverflowError as exc:
-                overflow = overflow or exc
-            labels = []
-    if overflow is not None:
-        raise overflow
-    blocks.append(np.array(labels, dtype=np.int64))
-    labels.clear()
-    return np.concatenate(blocks)
+    return np.asarray(labels, dtype=np.int64)
 
 
 def save_matrix(path, matrix: np.ndarray) -> None:

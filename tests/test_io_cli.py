@@ -147,29 +147,36 @@ def _assert_same_load(load, reference, path):
     assert got.tobytes() == expected.tobytes()
 
 
+def _open_reading(size):
+    """``open`` for text whose decoder reads ``size`` bytes at a time."""
+    def opener(path):
+        file = open(path)
+        file._CHUNK_SIZE = size
+        return file
+    return opener
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.one_of(_matrix_texts(), _BLANKS), piece=st.sampled_from([1, 7, 64]),
+@given(text=st.one_of(_matrix_texts(), _BLANKS), read=st.sampled_from([1, 7, 64]),
        block=st.sampled_from([1, 5, dataio._BLOCK]))
-def test_load_matrix_matches_whole_text_oracle(tmp_path, text, piece, block):
-    # pieces of 1, 7 and 64 characters split "\r\n" pairs, lines and rows;
-    # blocks of 1 and 5 values split rows into many parsed blocks
+def test_load_matrix_matches_whole_text_oracle(tmp_path, text, read, block):
+    # decoder reads of 1, 7 and 64 bytes split "\r\n" pairs, characters,
+    # lines and rows; blocks of 1 and 5 values split rows into many blocks
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "_PIECE", piece)
+        mp.setattr(dataio, "open", _open_reading(read), raising=False)
         mp.setattr(dataio, "_BLOCK", block)
         _assert_same_load(load_matrix, load_matrix_reference, path)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.one_of(_label_texts, _BLANKS), piece=st.sampled_from([1, 7, 64]),
-       block=st.sampled_from([1, 5, dataio._BLOCK]))
-def test_load_labels_matches_whole_text_oracle(tmp_path, text, piece, block):
+@given(text=st.one_of(_label_texts, _BLANKS), read=st.sampled_from([1, 7, 64]))
+def test_load_labels_matches_whole_text_oracle(tmp_path, text, read):
     path = tmp_path / "labels.txt"
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "_PIECE", piece)
-        mp.setattr(dataio, "_BLOCK", block)
+        mp.setattr(dataio, "open", _open_reading(read), raising=False)
         _assert_same_load(load_labels, load_labels_reference, path)
 
 
@@ -197,15 +204,15 @@ def _decode_error(raw: bytes) -> str:
 @pytest.mark.parametrize("before", ["bad_row", "blank"])
 @pytest.mark.parametrize("load", [load_matrix, load_labels], ids=["load_matrix", "load_labels"])
 def test_undecodable_byte_wins_and_names_its_position_in_the_file(tmp_path, load, before):
-    # the byte sits past the first pieces and past the text decoder's first
-    # read, after a bad row or only blank lines: the decode error still wins,
-    # with its position in the whole file
+    # the byte sits past the text decoder's first reads, after a bad row or
+    # only blank lines: the decode error still wins, with its position in the
+    # whole file
     lines = "1\nx\n" + "1\n" * 6000 if before == "bad_row" else " \n" * 6000
     raw = lines.encode() + b"\xff\n2\n"
     path = tmp_path / "bad.csv"
     path.write_bytes(raw)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "_PIECE", 7)
+        mp.setattr(dataio, "open", _open_reading(7), raising=False)
         with pytest.raises(InputError) as caught:
             load(path)
     assert str(caught.value) == f"{path}: {_decode_error(raw)}"
