@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InputError
 
 _BLOCK = 1 << 10  # values parsed into one block of a matrix
+_INT64 = range(-2**63, 2**63)  # the labels an int64 array holds
 
 
 def _lines(path):
@@ -94,15 +95,18 @@ def load_matrix(path) -> np.ndarray:
 
 
 def load_labels(path) -> np.ndarray:
-    """Parse one integer class id per line; raises InputError naming file and line."""
+    """Parse one int64 class id per line; raises InputError naming file and line."""
     lines = _data_lines(path, "labels")
     path = Path(path)
     labels = []
     for lineno, line in lines:
         try:
-            labels.append(int(line))
+            label = int(line)
         except ValueError as exc:
             raise _bad_row(lines, f"{path}:{lineno}: not an integer label: {line!r}") from exc
+        if label not in _INT64:
+            raise _bad_row(lines, f"{path}:{lineno}: label outside int64: {line!r}")
+        labels.append(label)
     return np.asarray(labels, dtype=np.int64)
 
 

@@ -143,47 +143,57 @@ def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: b
     """One pass over all sample pairs, in ``_BLOCK``-row blocks, for the consumers switched on.
 
     ``k`` is the trust/NP order (None: off); ``kse`` and ``c`` switch on the
-    Kruskal-Shepard and C sums. Each block computes its squared input and BMU
-    map distances once, the latter from the distance rows of its BMUs. The
-    KSE and C sums are taken first, on those (B, N) arrays and in block
-    order; the trust/NP work then reuses the distances.
-    The block size is a constant, so summation order and output bits never
-    depend on the machine.
+    Kruskal-Shepard and C sums. Each block computes its (B, N) squared input
+    distances and its BMU map distances once, the latter from the distance
+    rows of its distinct BMUs, in the smallest unsigned type that holds the
+    map diameter. One (B, N) float64 scratch, allocated once per scan, holds
+    in turn the KSE terms, the C terms and the sorted rows of trust/NP, so a
+    block holds two (B, N) float64 arrays. Integer map distances convert to
+    float64 exactly, so the narrow type changes no bit, and each KSE and C
+    sum is one ``.sum()`` over the block's terms, in block order. The block
+    size is a constant, so summation order and output bits never depend on
+    the machine.
     """
     x = data.samples
     n = len(x)
     bmus = project(codebook, data, depth=1).bmu
     if kse:
-        max_d2, delta_max = _max_squared_distance(x), codebook.grid.max_distance()
+        max_d2 = _max_squared_distance(x)
         kse = max_d2 != 0.0  # all samples identical: the KSE cannot be scaled, and fails on its own
     if k is None and not kse and not c:
         return _PairSums(None, None, None)
     grid = codebook.grid
+    diameter = _diameter(grid)  # the KSE's map-side scale: _check_kse refused a map without one
+    by_distance = np.arange(diameter + 1, dtype=np.min_scalar_type(diameter))  # map distances, narrow
     if k is not None:
-        cuts, sizes, closer = _map_ranks(grid, bmus, k)
+        per_unit = np.bincount(bmus, minlength=grid.n_units)
         trust_terms, np_terms = np.empty(n), np.empty(n)
+    scratch = np.empty((min(_BLOCK, n), n))
     kse_sum = c_sum = 0.0
     for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
         d2 = squared_distances(x[rows], x)
-        dm = _distance_rows(grid, bmus[rows]).take(bmus, axis=1)
+        terms = scratch[:len(d2)]
+        units, unit_of = np.unique(bmus[rows], return_inverse=True)
+        unit_rows = _distance_rows(grid, units, by_distance)
+        dm = unit_rows.take(bmus, axis=1)[unit_of]
         if kse:
-            terms = d2 / max_d2
-            terms -= dm / delta_max
+            np.divide(d2, max_d2, out=terms)
+            for row, row_dm in zip(terms, dm):
+                row -= row_dm / diameter  # a row at a time: no (B, N) temporary
             kse_sum += float(np.square(terms, out=terms).sum())
-            del terms
         if c:
-            terms = np.sqrt(d2)
+            np.sqrt(d2, out=terms)
             terms *= dm
             for i, row in enumerate(terms, start):
                 row[i:] = 0.0  # each unordered pair counted once
             c_sum += float(terms.sum())
-            del terms
         if k is not None:
-            units = bmus[rows]
-            false_pen, missed_pen = _np_trust_penalties(d2, dm, start, k, cuts[units], closer[units])
-            trust_terms[rows] = (k / sizes[units]) * false_pen.astype(float)
-            np_terms[rows] = (sizes[units] / k) * missed_pen.astype(float)
+            cut, size, closer = _map_ranks(unit_rows, per_unit, k, diameter)
+            false_pen, missed_pen = _np_trust_penalties(d2, dm, terms, start, k, unit_of, cut, closer)
+            trust_terms[rows] = (k / size[unit_of]) * false_pen.astype(float)
+            np_terms[rows] = (size[unit_of] / k) * missed_pen.astype(float)
+        del d2, dm  # freed before the next block's distances
 
     np_trust = None
     if k is not None:
@@ -222,36 +232,39 @@ def _max_squared_distance(x: np.ndarray) -> float:
     return float(max(squared_distances(kept[s:s + _BLOCK], kept).max() for s in range(0, len(kept), _BLOCK)))
 
 
-def _map_ranks(grid, bmus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map-side ranks of trust/NP per BMU unit: (cut, projected-set size, strictly-closer counts).
+def _map_ranks(unit_rows: np.ndarray, per_unit: np.ndarray, k: int,
+               diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map-side ranks of trust/NP for U units: (cut, projected-set size, strictly-closer counts).
 
-    For a sample on unit u, the other samples lie at map distances
-    ``distance_matrix(grid)[u, bmus]``; ``counts[u, v]`` counts them at
+    ``unit_rows`` holds the units' (U, K) distance rows and ``per_unit`` the
+    samples on each unit. For a sample on unit u, the other samples lie at
+    map distances ``unit_rows[u, bmus]``; ``counts[u, v]`` counts them at
     distance v. The cut is the k-th smallest of those distances, the size K_i
     counts the samples within the cut, and ``closer[u, v]`` those strictly
-    closer than v. Counted from the distance rows of ``_BLOCK`` BMU units at a
-    time; the entries of a unit that is no BMU are never read.
+    closer than v. The scan asks for the distinct BMUs of one block at a
+    time, so the tables hold at most ``_BLOCK`` x (diameter + 1) entries.
     """
-    K = grid.n_units
-    per_unit = np.bincount(bmus, minlength=K)
-    counts = np.zeros((K, _diameter(grid) + 1), dtype=np.int64)
-    units = np.flatnonzero(per_unit)
-    for start in range(0, len(units), _BLOCK):
-        block = units[start:start + _BLOCK]
-        np.add.at(counts, (block[:, None], _distance_rows(grid, block)), per_unit)
+    occupied = np.flatnonzero(per_unit)
+    weights = per_unit[occupied]
+    counts = np.empty((len(unit_rows), diameter + 1), dtype=np.int64)
+    for count, row in zip(counts, unit_rows[:, occupied]):
+        count[:] = np.bincount(row, weights, minlength=diameter + 1)  # float64 sums of counts below 2**53: exact
     counts[:, 0] -= 1  # the sample itself, at map distance 0
     within = np.cumsum(counts, axis=1)
     cuts = np.argmax(within >= k, axis=1)
-    return cuts, within[np.arange(K), cuts], within - counts
+    sizes = within[np.arange(len(cuts)), cuts]
+    return cuts, sizes, np.subtract(within, counts, out=within)
 
 
-def _np_trust_penalties(d2: np.ndarray, dm: np.ndarray, start: int, k: int, cut: np.ndarray,
-                        closer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _np_trust_penalties(d2: np.ndarray, dm: np.ndarray, ranked: np.ndarray, start: int, k: int,
+                        unit_of: np.ndarray, cut: np.ndarray, closer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a block: (trustworthiness, neighborhood preservation) rank penalties.
 
     ``d2`` and ``dm`` are the block's (B, N) squared input and map distances,
-    rows ``start..start+B-1``; ``cut`` and ``closer`` are the rows' map ranks
-    of ``_map_ranks``. Overwrites each row's own entry of ``d2`` with inf.
+    rows ``start..start+B-1``; row i's BMU is unit ``unit_of[i]`` of the
+    ``cut`` and ``closer`` map ranks of ``_map_ranks``. Overwrites each row's
+    own entry of ``d2`` with inf, and ``ranked``, a (B, N) float64 scratch,
+    with the sorted rows.
     """
     b = len(d2)
     own = (np.arange(b), np.arange(start, start + b))
@@ -260,7 +273,8 @@ def _np_trust_penalties(d2: np.ndarray, dm: np.ndarray, start: int, k: int, cut:
     # input side: the exact k nearest, ties at the k-th value going to the
     # lowest sample index; min-ranks (strictly closer count + 1) by binary
     # search in the sorted row
-    ranked = np.sort(d2, axis=1)
+    np.copyto(ranked, d2)
+    ranked.sort(axis=1)
     kth = ranked[:, k - 1:k]
     nearest = d2 <= kth
     tied = np.flatnonzero(np.count_nonzero(nearest, axis=1) > k)  # rows with more than k candidates
@@ -272,7 +286,8 @@ def _np_trust_penalties(d2: np.ndarray, dm: np.ndarray, start: int, k: int, cut:
     # map side: the tie-expanded projected set, without the sample itself;
     # trustworthiness ranks its members outside the k nearest in the sorted
     # row, neighborhood preservation the k nearest outside it by map counts
-    proj_set = dm <= cut[:, None]
+    row_cut = cut[unit_of][:, None]
+    proj_set = dm <= row_cut
     proj_set[own] = False
     false_rows, false_cols = np.nonzero(proj_set & ~nearest)
     values = d2[false_rows, false_cols]
@@ -281,7 +296,7 @@ def _np_trust_penalties(d2: np.ndarray, dm: np.ndarray, start: int, k: int, cut:
     running = np.concatenate(([0], np.cumsum(ranks + 1 - k)))
     false_pen = running[bounds[1:]] - running[bounds[:-1]]
     near_dm = dm[nearest].reshape(b, k)  # exactly k per row, in input order
-    missed = np.where(near_dm <= cut[:, None], 0, np.take_along_axis(closer, near_dm, axis=1) + 1 - k)
+    missed = np.where(near_dm <= row_cut, 0, closer[unit_of[:, None], near_dm] + 1 - k)
     return false_pen, missed.sum(axis=1)
 
 

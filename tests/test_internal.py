@@ -31,7 +31,7 @@ from sommetrics import (
     trustworthiness,
 )
 from sommetrics import internal
-from sommetrics.grid import _offset_tables
+from sommetrics.grid import _offset_tables, _pair_distances
 from sommetrics.internal import _map_path_costs
 from sommetrics.model import _shared_results, bmu_distances, squared_distances
 
@@ -471,6 +471,64 @@ def test_trust_memory_is_bounded_by_the_block(monkeypatch):
             return _pair_values(cb, data, 10)
 
     assert _traced_peak(fused) < 16 * 2**20
+
+
+@pytest.mark.parametrize("consumers", ["fused", "kse", "c"])
+def test_pair_scan_memory_is_below_three_block_arrays(consumers):
+    # at the default block, a block holds its squared distances and one
+    # reused scratch of the same shape: two 256 x N float64 arrays and the
+    # narrow map distances, below three such arrays
+    rng = np.random.default_rng(6)
+    cb = CodeBook(rng.normal(size=(100, 2)), MapGrid(10, 10))
+    data = Dataset(rng.normal(size=(3000, 2)))
+
+    def fused(data):
+        with _shared_results(cb, data, PAIR_METRICS, 10):
+            return _pair_values(cb, data, 10)
+
+    call = {"fused": fused, "kse": lambda data: kruskal_shepard_error(cb, data),
+            "c": lambda data: c_measure(cb, data)}[consumers]
+    call(Dataset(data.samples[:30]))  # imports and grid caches, not counted
+    peak = _traced_peak(call, data)
+    assert peak < 3 * 256 * 3000 * 8, peak / 2**20
+
+
+def test_trust_map_ranks_stay_per_block_on_a_long_chain():
+    # a 1 x 4000 chain: map ranks over every unit and map distance would be
+    # 4000 x 4000 int64 tables of 122 MiB each; per block of BMUs they hold
+    # at most 256 x 4000 entries
+    rng = np.random.default_rng(6)
+    cb = CodeBook(rng.normal(size=(4000, 2)), MapGrid(1, 4000))
+    data = Dataset(rng.normal(size=(1000, 2)))
+    trustworthiness(cb, Dataset(data.samples[:30]), 3)  # imports and grid caches, not counted
+    assert _traced_peak(trustworthiness, cb, data, 10) < 48 * 2**20
+
+
+@pytest.mark.parametrize("shape", ["row", "column"])
+@pytest.mark.parametrize("diameter", [255, 256, 65_535, 65_536])
+def test_pair_scan_at_the_ends_of_the_narrow_map_distance_types(shape, diameter):
+    # a chain of diameter + 1 units (rectangular row, hexagonal column):
+    # map distances in 1, 2 or 4 bytes; samples at both ends reach the diameter
+    grid = MapGrid(1, diameter + 1) if shape == "row" else MapGrid(diameter + 1, 1, "hexagonal")
+    cb = CodeBook(np.arange(diameter + 1, dtype=float)[:, None], grid)
+    rng = np.random.default_rng(diameter)
+    x = np.concatenate([[0.0, diameter, diameter - 0.2], rng.uniform(0, diameter, 37)])
+    data = Dataset(x[:, None])
+    n, k = len(x), 3
+    bmus = project(cb, data, depth=1).bmu
+    dm = np.array([[int(_pair_distances(grid, a, b)) for b in bmus] for a in bmus])
+    assert dm.max() == diameter
+    d2 = squared_distances(data.samples, data.samples)
+    kse_terms = (d2 / d2.max() - dm / diameter) ** 2
+    assert kruskal_shepard_error(cb, data) == kse_terms.sum() / (n * (n - 1))
+    assert c_measure(cb, data) == np.tril(np.sqrt(d2) * dm, -1).sum()
+
+    # the oracle reads map distances among the occupied units only, so no K x K matrix is built
+    occupied, local = np.unique(bmus, return_inverse=True)
+    unit_distances = _pair_distances(grid, occupied[:, None], occupied).tolist()
+    oracle_trust, oracle_np = trust_np_bruteforce(data.samples.tolist(), local.tolist(), unit_distances, k)
+    assert trustworthiness(cb, data, k) == pytest.approx(oracle_trust, abs=1e-12)
+    assert neighborhood_preservation(cb, data, k) == pytest.approx(oracle_np, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None)

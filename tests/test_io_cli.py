@@ -21,7 +21,7 @@ from sommetrics.errors import InputError
 from sommetrics.figures import render_map_svg
 from sommetrics.report import EvaluationConfig, _jsonable, evaluate
 
-from oracles import load_labels_reference, load_matrix_reference
+from oracles import _data_lines_reference, load_labels_reference, load_matrix_reference
 
 
 @pytest.fixture
@@ -127,7 +127,7 @@ def _matrix_texts(draw):
 
 _label_texts = _file_texts(
     _padded(st.one_of(st.integers(-10**6, 10**6).map(str), st.sampled_from(["+3", "-0", "1_0", "007"]),
-                      # int64's ends, and beyond them numpy's OverflowError
+                      # int64's ends, and beyond them a label refused at its line
                       st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1, 10**30]).map(str))),
     st.sampled_from(["x", "1.5", "1 2", "0x10"]))
 
@@ -170,6 +170,24 @@ def test_load_matrix_matches_whole_text_oracle(tmp_path, text, read, block):
         _assert_same_load(load_matrix, load_matrix_reference, path)
 
 
+def _int64_labels_reference(path):
+    """``load_labels_reference``, except that the first label that is not an integer or not in int64 is refused.
+
+    The whole-text oracle converts its labels only at the end, so a label
+    outside int64 raises numpy's ``OverflowError`` there, after any later
+    non-integer line.
+    """
+    path = Path(path)
+    for lineno, line in _data_lines_reference(path, "labels"):
+        try:
+            label = int(line)
+        except ValueError:
+            break  # the oracle refuses this line
+        if not -2**63 <= label < 2**63:
+            raise InputError(f"{path}:{lineno}: label outside int64: {line!r}")
+    return load_labels_reference(path)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=st.one_of(_label_texts, _BLANKS), read=st.sampled_from([1, 7, 64]))
 def test_load_labels_matches_whole_text_oracle(tmp_path, text, read):
@@ -177,7 +195,16 @@ def test_load_labels_matches_whole_text_oracle(tmp_path, text, read):
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "open", _open_reading(read), raising=False)
-        _assert_same_load(load_labels, load_labels_reference, path)
+        _assert_same_load(load_labels, _int64_labels_reference, path)
+
+
+@pytest.mark.parametrize("label", [str(2**63), str(-2**63 - 1), "9" * 30])
+def test_load_labels_refuses_a_label_outside_int64_at_its_line(tmp_path, label):
+    path = tmp_path / "labels.txt"
+    path.write_text(f"0\n{2**63 - 1}\n{-2**63}\n{label}\nx\n{label}\n")
+    with pytest.raises(InputError) as caught:
+        load_labels(path)
+    assert str(caught.value) == f"{path}:4: label outside int64: {label!r}"
 
 
 def test_load_matrix_memory_is_bounded(tmp_path):
@@ -217,6 +244,19 @@ def test_undecodable_byte_wins_and_names_its_position_in_the_file(tmp_path, load
             load(path)
     assert str(caught.value) == f"{path}: {_decode_error(raw)}"
     assert f"in position {len(lines)}:" in str(caught.value)
+
+
+def test_cli_evaluate_load_labels_outside_int64_is_one_input_line(runner, fixture_files):
+    # exit 1 naming the file and the first such label's line, not a computation error
+    codebook_path, data_path, labels_path, _, _, _ = fixture_files
+    labels_path.write_text("0\n99999999999999999999\n-99999999999999999999\n" + "1\n" * 33)
+    result = runner.invoke(main, _evaluate_args(codebook_path, data_path, "purity", ["--labels", str(labels_path)]))
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"error: input: {labels_path}:2: label outside int64: '99999999999999999999'"]
+    labels_path.write_bytes(b"0\n99999999999999999999\n\xff\n")  # a decode error anywhere in the file wins
+    result = runner.invoke(main, _evaluate_args(codebook_path, data_path, "purity", ["--labels", str(labels_path)]))
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"error: input: {labels_path}: {_decode_error(labels_path.read_bytes())}"]
 
 
 @pytest.mark.parametrize("command, bad", [("evaluate", "codebook"), ("evaluate", "data"), ("evaluate", "labels"),
