@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 
@@ -606,6 +607,76 @@ def test_train_at_a_huge_temperature_matches_reference_loop(kernel):
             warnings.simplefilter("error")
             trained = train_som(data, config)
         assert trained.prototypes.tobytes() == train_som_reference(data, config).tobytes()
+
+
+BUFSIZES = [16, 8192, 1 << 20]  # numpy's minimum, its default and a large one
+
+
+def _at_bufsize(size, call):
+    """``call()`` under an outer ufunc buffer of ``size`` elements, which must be the size again afterwards."""
+    old = np.setbufsize(size)
+    try:
+        result = call()
+        assert np.getbufsize() == size
+    finally:
+        np.setbufsize(old)
+    return result
+
+
+@pytest.mark.parametrize("d", [1, 7, 16, 130])  # 130 coordinates split in halves
+def test_squared_distances_bits_do_not_depend_on_the_ufunc_buffer(d):
+    rng = np.random.default_rng(d)
+    x = rng.integers(-3, 4, size=(300, d)) * 10.0 ** rng.integers(-3, 4, size=d)  # ties among the distances
+    protos = np.concatenate([x[:7], rng.normal(size=(60, d))])
+    outs = [_at_bufsize(size, lambda: model.squared_distances(x, protos)).tobytes() for size in BUFSIZES]
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_distortion_pass_bits_do_not_depend_on_the_ufunc_buffer():
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.integers(0, 4, size=(600, 16)).astype(float))  # ties: argmin picks the lowest unit
+    cb = CodeBook(np.concatenate([data.samples[:30], rng.normal(size=(70, 16))]), MapGrid(10, 10, "hexagonal"))
+    outs = []
+    for size in BUFSIZES:
+        total, ranks = _at_bufsize(size, lambda: model._distortion_pass(cb, data, 1.5, GAUSSIAN))
+        outs.append((total.tobytes(), ranks.tobytes()))
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, "rectangular"), (30, 30, "hexagonal")])  # K below and above 16
+def test_train_bits_do_not_depend_on_the_ufunc_buffer(shape):
+    data = Dataset(np.random.default_rng(4).normal(size=(200, 16)))
+    config = TrainerConfig(*shape, t_min=0.5, iterations=300, seed=1)
+    expected = train_som_reference(data, config).tobytes()
+    for size in BUFSIZES:
+        assert _at_bufsize(size, lambda: train_som(data, config)).prototypes.tobytes() == expected
+
+
+@pytest.mark.parametrize("size", BUFSIZES)
+def test_the_small_ufunc_buffer_scope_restores_the_callers_size(size):
+    # outside any errstate, whose exit restores the size on numpy 2 but not on 1.24
+    def leave(error):
+        with pytest.raises(KeyError) if error else contextlib.nullcontext():
+            with model._small_ufunc_buffer():
+                assert np.getbufsize() == 16
+                if error:
+                    raise KeyError("left early")
+
+    _at_bufsize(size, lambda: leave(False))
+    _at_bufsize(size, lambda: leave(True))
+
+
+@pytest.mark.parametrize("size", BUFSIZES)
+def test_an_overflow_error_restores_the_callers_ufunc_buffer(size):
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.normal(size=(20, 3)) * 1e160)
+
+    def raises(call):
+        with pytest.raises(ValueError, match="overflow float64"):
+            call()
+
+    _at_bufsize(size, lambda: raises(lambda: model.squared_distances(data.samples, data.samples[:4])))
+    _at_bufsize(size, lambda: raises(lambda: train_som(data, TrainerConfig(2, 2, iterations=10))))
 
 
 def test_train_square_fixture_stays_organized():
