@@ -1,6 +1,7 @@
 import contextlib
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from sommetrics import (
     CodeBook,
     Dataset,
     MapGrid,
+    NeighborhoodKernel,
+    TopographicFunction,
     TrainerConfig,
     distortion,
     init_codebook,
@@ -23,7 +26,7 @@ from sommetrics import (
     train_som,
 )
 from sommetrics import internal, model
-from sommetrics.grid import TOPOLOGIES, _offset_tables, distance_matrix
+from sommetrics.grid import KERNEL_KINDS, TOPOLOGIES, _offset_tables, distance_matrix
 from sommetrics.report import METRIC_NAMES, REGISTRY, _computations, _jsonable
 
 from oracles import project_bruteforce, train_som_reference
@@ -434,6 +437,91 @@ def test_distortion_outside_the_evaluation_plan_runs_its_own_pass(monkeypatch, c
         assert distortion(cb, data, *own) == direct
         assert evaluation.distortion is kept[0] and evaluation.ranks is kept[1]
     assert passes == ([own, (0.6, GAUSSIAN), own] if asked else [own, own])
+
+
+def _outcome(compute, *args):
+    """The call's value as its type and bytes, or its error as its type and message."""
+    try:
+        value = compute(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, TopographicFunction):
+        series = (value.k, value.tf, value.normalized_k, value.normalized_tf)
+        return tuple(None if s is None else (s.dtype.str, s.shape, s.tobytes()) for s in series)
+    return type(value), np.float64(value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    topology=st.sampled_from(TOPOLOGIES),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 4),
+    n=st.integers(1, 12),
+    d=st.integers(1, 3),
+    scale=st.sampled_from([1.0, 0.5, 1e153, 3e153]),  # 3e153 lattices can overflow a squared distance
+    duplicates=st.booleans(),
+    labelled=st.booleans(),
+    k=st.integers(0, 12),
+    temperature=st.one_of(st.sampled_from([1e-160, 0.5, 1.0, 1e153, 1e200]), st.floats(1e-160, 1e200)),
+    kernel=st.sampled_from(KERNEL_KINDS),
+    metrics=st.lists(st.sampled_from(METRIC_NAMES), min_size=1, max_size=2 * len(METRIC_NAMES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(topology="rectangular", rows=1, cols=1, n=5, d=2, scale=1.0, duplicates=False, labelled=True, k=2,
+         temperature=0.5, kernel="gaussian", metrics=list(METRIC_NAMES), seed=0)  # no diameter: KSE fails alone
+def test_an_evaluation_equals_each_metric_called_alone(topology, rows, cols, n, d, scale, duplicates, labelled,
+                                                       k, temperature, kernel, metrics, seed):
+    # through report._computations, every value is bit-equal to the
+    # registry's call outside any evaluation, and every error has its type and
+    # message. The evaluation completes at most one N x K pass, distortion's
+    # (tried only when distortion is asked for) or a depth-2 _rank_units, and
+    # at most one sample-pair scan; a pass or scan that raises keeps nothing.
+    # Integer lattices tie often.
+    rng = np.random.default_rng(seed)
+    grid = MapGrid(rows, cols, topology)
+    lattice = rng.integers(-3, 4, (grid.n_units, d))
+    if duplicates:
+        lattice = lattice[rng.integers(0, max(1, grid.n_units // 2), grid.n_units)]
+    cb = CodeBook(scale * lattice.astype(float), grid)
+    data = Dataset(scale * rng.integers(-3, 4, (n, d)).astype(float), rng.integers(0, 3, n) if labelled else None)
+    k = min(k, n)
+    alone = SimpleNamespace(codebook=cb, data=data, k=k, temperature=temperature, kernel=NeighborhoodKernel(kernel))
+    assert model._SCOPE.get() is None
+    expected = {name: _outcome(REGISTRY[name].compute, alone) for name in metrics}
+
+    attempts, passes, ranks, scans = [], [], [], []
+    distortion_pass, rank_units, pair_scan = model._distortion_pass, model._rank_units, internal._pair_scan
+
+    def counting_passes(*args):
+        attempts.append(args[2:])
+        result = distortion_pass(*args)
+        passes.append(args[2:])
+        return result
+
+    def counting_rank_units(*args):
+        result = rank_units(*args)
+        ranks.append(args[2])
+        return result
+
+    def counting_scans(*args):
+        result = pair_scan(*args)
+        scans.append(args[2:])
+        return result
+
+    # not the monkeypatch fixture: hypothesis runs every example in one test call
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (model, internal):
+            patch.setattr(module, "_distortion_pass", counting_passes)
+        patch.setattr(model, "_rank_units", counting_rank_units)
+        patch.setattr(internal, "_pair_scan", counting_scans)
+        with _computations(cb, data, metrics, k, temperature, kernel) as computations:
+            got = {name: _outcome(compute) for name, compute in computations.items()}
+    assert list(got) == list(expected)
+    for name in got:
+        assert got[name] == expected[name], name
+    assert len(attempts) <= ("distortion" in metrics)
+    assert len(passes) + sum(depth <= 2 for depth in ranks) <= 1, (passes, ranks)
+    assert len(scans) <= 1, scans
 
 
 def test_project_depth_k_memory_is_bounded():
