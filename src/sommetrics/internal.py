@@ -12,9 +12,8 @@ import numpy as np
 
 from .grid import GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _pair_distances, adjacency_pairs
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
-from .model import (_BLOCK, CodeBook, Dataset, _check_kse, _check_order, _check_samples, _distortion_pass,
-                    _evaluation, _evaluation_distortion_pass, _overflow_is_an_error, _paired_squared_distances,
-                    bmu_distances, project, squared_distances)
+from .model import (_BLOCK, CodeBook, Dataset, _distortion_pass, _evaluation, _evaluation_distortion_pass,
+                    _overflow_is_an_error, _paired_squared_distances, bmu_distances, project, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -114,6 +113,25 @@ def combined_error(codebook: CodeBook, data: Dataset) -> float:
         if np.isinf(path).any():
             raise FloatingPointError
         return float((first + path).mean())
+
+
+def _check_samples(data: Dataset, least: int) -> None:
+    if data.n_samples < least:
+        raise ValueError(f"need at least {least} samples, got {data.n_samples}")
+
+
+def _check_order(data: Dataset, k: int) -> None:
+    """Trustworthiness' and neighborhood preservation's checks, in order."""
+    _check_samples(data, 3)
+    n = data.n_samples
+    if not 1 <= k < n / 2:
+        raise ValueError(f"neighborhood order k must satisfy 1 <= k < N/2 = {n / 2}, got {k}")
+
+
+def _check_kse(codebook: CodeBook, data: Dataset) -> None:
+    """The Kruskal-Shepard error's checks before its scan, in order."""
+    _check_samples(data, 2)
+    codebook.grid.max_distance()  # a one-unit map has no diameter to scale by
 
 
 class _PairSums(NamedTuple):

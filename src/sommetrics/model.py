@@ -261,7 +261,7 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
 
 @dataclass
 class _Evaluation:
-    """The evaluation that is running: its operands and parameters, its plan, and the results it keeps."""
+    """The running evaluation: operands, parameters, the plan made by ``report._computations``, kept results."""
 
     codebook: CodeBook
     data: Dataset
@@ -274,58 +274,7 @@ class _Evaluation:
     pairs: tuple | None = None  # the pair scan of pair_plan, made by internal._pair_sums
 
 
-_SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_shared_results", default=None)
-
-
-def _check_samples(data: Dataset, least: int) -> None:
-    if data.n_samples < least:
-        raise ValueError(f"need at least {least} samples, got {data.n_samples}")
-
-
-def _check_order(data: Dataset, k: int) -> None:
-    """Trustworthiness' and neighborhood preservation's checks, in order."""
-    _check_samples(data, 3)
-    n = data.n_samples
-    if not 1 <= k < n / 2:
-        raise ValueError(f"neighborhood order k must satisfy 1 <= k < N/2 = {n / 2}, got {k}")
-
-
-def _check_kse(codebook: CodeBook, data: Dataset) -> None:
-    """The Kruskal-Shepard error's checks before its scan, in order."""
-    _check_samples(data, 2)
-    codebook.grid.max_distance()  # a one-unit map has no diameter to scale by
-
-
-def _passes(check, *args) -> bool:
-    try:
-        check(*args)
-    except ValueError:
-        return False
-    return True
-
-
-@contextmanager
-def _shared_results(codebook: CodeBook, data: Dataset, metrics=(), k: int | None = None,
-                    temperature: float | None = None, kernel: NeighborhoodKernel = GAUSSIAN):
-    """Within the block, the projection and the pair scan of these two objects are kept; yields the evaluation.
-
-    ``metrics`` and ``k`` name what the evaluation will ask for; ``temperature``
-    and ``kernel`` are distortion's parameters. The plan of what is shared is
-    fixed here, once: the pair scan serves the requested pair metrics whose
-    checks pass, and distortion's pass makes the ranks when distortion is
-    requested (the temperature is kept only then).
-    """
-    metrics = frozenset(metrics)
-    pair_plan = (k if k is not None and metrics & {"trustworthiness", "neighborhood_preservation"}
-                 and _passes(_check_order, data, k) else None,
-                 "kruskal_shepard_error" in metrics and _passes(_check_kse, codebook, data),
-                 "c_measure" in metrics and _passes(_check_samples, data, 2))
-    evaluation = _Evaluation(codebook, data, k, temperature if "distortion" in metrics else None, kernel, pair_plan)
-    token = _SCOPE.set(evaluation)
-    try:
-        yield evaluation
-    finally:
-        _SCOPE.reset(token)
+_SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_evaluation", default=None)
 
 
 def _evaluation(codebook: CodeBook, data: Dataset) -> _Evaluation | None:
@@ -347,14 +296,15 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     The bound holds for any summation order and with fused multiply-add, so
     neither the BLAS library nor its thread count can change the ranks.
 
-    Within an evaluation, a call at depth 1 or 2 reads the leading columns of
-    one read-only ranking of depth ``min(2, K)``, made on first need: the
-    ranking is exact, so they are the ranks a shallower call would compute. A
-    deeper call ranks on its own, and its ranks are not kept. When the
-    evaluation asks for distortion at a temperature, the ranking comes from
-    distortion's exact pass (``_distortion_pass``), which keeps its total for
-    distortion; if that pass raises, its error is kept for distortion and the
-    ranking is made as outside an evaluation.
+    Within an evaluation (``report._computations``), a call at depth 1 or 2
+    reads the leading columns of one read-only ranking of depth ``min(2, K)``,
+    made on first need: the ranking is exact, so they are the ranks a
+    shallower call would compute. A deeper call ranks on its own, and its
+    ranks are not kept. When the evaluation asks for distortion at a
+    temperature, the ranking comes from distortion's exact pass
+    (``_distortion_pass``), which keeps its total for distortion; if that pass
+    raises, its error is kept for distortion and the ranking is made as
+    outside an evaluation.
     """
     _check_dims(codebook, data)
     K = codebook.n_units
@@ -517,9 +467,13 @@ class TrainerConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        grid = self.grid  # an invalid grid raises its own error
+        try:
+            _diameter(grid)  # builds the grid's offset tables, which every step reads
+        except (ValueError, MemoryError) as exc:  # numpy refuses the shape, or cannot allocate it
+            raise ValueError(f"map {self.rows}x{self.cols} is too large: {exc}") from None
         # the last step has the lowest temperature; train_som computes it as
         # t_max * ratio ** 1 and weighs map distances 0..diameter at it
-        grid = self.grid  # an invalid grid raises its own error, outside the t_min message
         try:
             _weights_by_distance(self.kernel, grid, self.t_max * (self.t_min / self.t_max))
         except ValueError as exc:

@@ -15,8 +15,8 @@ from . import external, internal
 from .dataio import content_hash, load_labels, load_matrix
 from .errors import ConfigError, InputError
 from .grid import KERNEL_KINDS, TOPOLOGIES, MapGrid, NeighborhoodKernel
-from .internal import TopographicFunction
-from .model import CodeBook, Dataset, _Evaluation, _shared_results, project
+from .internal import TopographicFunction, _check_kse, _check_order, _check_samples
+from .model import _SCOPE, CodeBook, Dataset, _Evaluation, project
 
 
 @dataclass(frozen=True)
@@ -179,19 +179,38 @@ def _from_file(path, make, *args):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _passes(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
 @contextmanager
 def _computations(codebook: CodeBook, data: Dataset, metrics, k: int | None = None,
                   temperature: float | None = None, kernel: str = "gaussian"):
     """Yields ``{name: compute}`` for each distinct name of ``metrics``, in order of first occurrence.
 
-    Every ``compute()`` runs in one evaluation scope over ``codebook`` and
-    ``data``, so the projection and the sample-pair scan are done once for all
-    of the metrics; the first metric that needs either pays for it. When
-    ``metrics`` holds distortion and ``temperature`` is given, one exact pass
-    gives both the projection and distortion's total.
+    Every ``compute()`` runs in one evaluation over ``codebook`` and ``data``,
+    whose plan is fixed here from the names: one sample-pair scan serves the
+    requested pair metrics whose checks pass, and distortion's exact pass
+    makes the projection when distortion is requested (only then is the
+    temperature kept). The first metric that needs either pays for it. This
+    is the one place that sets ``model._SCOPE``, reset when the block ends.
     """
-    with _shared_results(codebook, data, metrics, k, temperature, NeighborhoodKernel(kernel)) as evaluation:
-        yield {name: partial(REGISTRY[name].compute, evaluation) for name in dict.fromkeys(metrics)}
+    names = dict.fromkeys(metrics)
+    pair_plan = (k if k is not None and names.keys() & {"trustworthiness", "neighborhood_preservation"}
+                 and _passes(_check_order, data, k) else None,
+                 "kruskal_shepard_error" in names and _passes(_check_kse, codebook, data),
+                 "c_measure" in names and _passes(_check_samples, data, 2))
+    evaluation = _Evaluation(codebook, data, k, temperature if "distortion" in names else None,
+                             NeighborhoodKernel(kernel), pair_plan)
+    token = _SCOPE.set(evaluation)
+    try:
+        yield {name: partial(REGISTRY[name].compute, evaluation) for name in names}
+    finally:
+        _SCOPE.reset(token)
 
 
 def evaluate(config: EvaluationConfig) -> MetricReport:

@@ -33,7 +33,8 @@ from sommetrics import (
 from sommetrics import internal
 from sommetrics.grid import _offset_tables, _pair_distances
 from sommetrics.internal import _map_path_costs
-from sommetrics.model import _shared_results, bmu_distances, squared_distances
+from sommetrics.model import _SCOPE, bmu_distances, squared_distances
+from sommetrics.report import _computations
 
 from oracles import min_path_cost_exhaustive, topographic_product_bruteforce, trust_np_bruteforce
 
@@ -436,7 +437,7 @@ def test_pair_metrics_do_not_depend_on_block_size(monkeypatch, topology, seed):
     for block in (1, 3, 7):
         monkeypatch.setattr(internal, "_BLOCK", block)
         direct = _pair_values(cb, data, k)
-        with _shared_results(cb, data, PAIR_METRICS, k):  # one fused scan serves all four
+        with _computations(cb, data, PAIR_METRICS, k):  # one fused scan serves all four
             assert _pair_values(cb, data, k) == direct
         assert direct[:2] == (trust, nbp)
         assert direct[2] == pytest.approx(kse, rel=1e-12)
@@ -448,7 +449,8 @@ def test_pair_metric_with_another_k_in_a_scope_is_scanned_alone():
     # scans on its own and leaves the kept scan as it was
     cb, data = random_instance(12, n=30)
     direct = trustworthiness(cb, data, 3)
-    with _shared_results(cb, data, PAIR_METRICS, 2) as evaluation:
+    with _computations(cb, data, PAIR_METRICS, 2):
+        evaluation = _SCOPE.get()
         assert trustworthiness(cb, data, 3) == direct
         assert evaluation.pairs is None
         planned = _pair_values(cb, data, 2)
@@ -467,7 +469,7 @@ def test_trust_memory_is_bounded_by_the_block(monkeypatch):
     assert _traced_peak(trustworthiness, cb, data, 10) < 16 * 2**20  # an N x N int64 matrix is 30.5 MiB
 
     def fused():
-        with _shared_results(cb, data, PAIR_METRICS, 10):
+        with _computations(cb, data, PAIR_METRICS, 10):
             return _pair_values(cb, data, 10)
 
     assert _traced_peak(fused) < 16 * 2**20
@@ -483,7 +485,7 @@ def test_pair_scan_memory_is_below_three_block_arrays(consumers):
     data = Dataset(rng.normal(size=(3000, 2)))
 
     def fused(data):
-        with _shared_results(cb, data, PAIR_METRICS, 10):
+        with _computations(cb, data, PAIR_METRICS, 10):
             return _pair_values(cb, data, 10)
 
     call = {"fused": fused, "kse": lambda data: kruskal_shepard_error(cb, data),

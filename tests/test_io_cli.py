@@ -425,14 +425,14 @@ def test_evaluate_all_metrics_equal_direct_calls_on_ties(tmp_path):
     assert sm.model._SCOPE.get() is None
     cb, data = fresh()
     with pytest.raises(RuntimeError):
-        with sm.model._shared_results(cb, data):
+        with sm.report._computations(cb, data, ()):
             raise RuntimeError
     assert sm.model._SCOPE.get() is None
 
     # inside a scope, another Dataset object is projected on its own
     other = sm.Dataset(samples[::-1].copy())
     alone = sm.project(cb, other).bmu_ranks
-    with sm.model._shared_results(cb, data):
+    with sm.report._computations(cb, data, ()):
         shared = sm.project(cb, data).bmu_ranks
         assert np.array_equal(sm.project(cb, other).bmu_ranks, alone)
     assert not np.array_equal(shared, alone)
@@ -917,6 +917,42 @@ def test_cli_train_tiny_t_min_is_one_config_line(tmp_path):
     assert result.returncode == 2
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: config: t_min=1e-158 is too small")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, cols", [(2**62, 2), (2, 2**62)])
+def test_cli_train_map_numpy_cannot_shape_is_one_config_line(tmp_path, rows, cols):
+    # a real process: numpy refuses the offset tables' shape without allocating
+    # anything, and the one line blames the map size, not t_min
+    data, out = tmp_path / "data.csv", tmp_path / "codebook.csv"
+    save_matrix(data, np.random.default_rng(3).random((3, 2)))
+    src = str(Path(sm.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "sommetrics.cli", "train", "--data", str(data), "--rows", str(rows),
+         "--cols", str(cols), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: config: map {rows}x{cols} is too large: "), lines
+    assert not out.exists()
+
+
+def test_cli_train_map_out_of_memory_is_one_config_line(runner, tmp_path, monkeypatch):
+    # the MemoryError numpy raises when it cannot allocate the offset tables
+    # (53.6 GiB at 30000x30000), raised here on a small map so that a patch
+    # that missed would train that map instead of allocating
+    def out_of_memory(grid):
+        raise MemoryError("Unable to allocate 53.6 GiB for an array with shape (2, 59999, 59999) and data type int64")
+
+    monkeypatch.setattr(sm.grid, "_offset_tables", out_of_memory)
+    data, out = tmp_path / "data.csv", tmp_path / "codebook.csv"
+    save_matrix(data, np.random.default_rng(3).random((3, 2)))
+    result = runner.invoke(main, ["train", "--data", str(data), "--rows", "3", "--cols", "4", "--iters", "10",
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == ("error: config: map 3x4 is too large: Unable to allocate 53.6 GiB for an "
+                             "array with shape (2, 59999, 59999) and data type int64\n")
     assert not out.exists()
 
 

@@ -237,6 +237,13 @@ def test_slab_sum_over_one_reused_buffer_matches_numpy_sum(d, k, seed):
         assert total.tobytes() == terms.sum(axis=-1).tobytes()
 
 
+@contextlib.contextmanager
+def _scope(cb, data, metrics=(), temperature=None, kernel="gaussian"):
+    """The evaluation that ``report._computations`` opens over ``cb`` and ``data``; yields it."""
+    with _computations(cb, data, metrics, temperature=temperature, kernel=kernel):
+        yield model._SCOPE.get()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     duplicates=st.booleans(),
@@ -259,7 +266,7 @@ def test_project_depth_one_is_first_column_of_depth_two(duplicates, scale, offse
     bmu = project(cb, data, depth=1).bmu
     assert np.array_equal(bmu, project(cb, data, depth=2).bmu)
     assert bmu.tolist() == [ranks[0] for ranks in project_bruteforce(samples, protos, 1)]
-    with model._shared_results(cb, data):
+    with _scope(cb, data):
         assert np.array_equal(project(cb, data, depth=1).bmu, bmu)
 
 
@@ -278,7 +285,7 @@ def test_project_in_an_evaluation_equals_direct_calls_at_every_depth(monkeypatch
         return rank_units(codebook, data, depth)
 
     monkeypatch.setattr(model, "_rank_units", counting_rank_units)
-    with model._shared_results(cb, data) as evaluation:
+    with _scope(cb, data) as evaluation:
         for depth in (1, 3, 2):
             ranks = project(cb, data, depth=depth).bmu_ranks
             assert ranks.dtype == direct[depth].dtype and np.array_equal(ranks, direct[depth]), depth
@@ -304,7 +311,7 @@ def test_project_in_an_evaluation_keeps_depth_two_after_a_deeper_call(monkeypatc
         return rank_units(codebook, data, depth)
 
     monkeypatch.setattr(model, "_rank_units", counting_rank_units)
-    with model._shared_results(cb, data) as evaluation:
+    with _scope(cb, data) as evaluation:
         for depth in (3, 1):
             assert np.array_equal(project(cb, data, depth=depth).bmu_ranks, direct[depth]), depth
         assert evaluation.ranks.shape == (40, 2)
@@ -329,7 +336,7 @@ def test_distortion_pass_ranks_match_bruteforce_on_tied_integer_data(topology, r
     depth = min(2, grid.n_units)
     total, ranks = model._distortion_pass(cb, data, 0.8, GAUSSIAN)
     assert ranks.tolist() == project_bruteforce(data.samples, cb.prototypes, depth)
-    with model._shared_results(cb, data, ("distortion",), temperature=0.8) as evaluation:
+    with _scope(cb, data, ("distortion",), temperature=0.8) as evaluation:
         assert np.array_equal(project(cb, data, depth=1).bmu_ranks, ranks[:, :1])
         assert np.array_equal(evaluation.ranks, ranks) and evaluation.distortion == total
 
@@ -342,8 +349,7 @@ def test_distortion_pass_makes_the_evaluation_ranks_and_total(monkeypatch):
     depths = []
     monkeypatch.setattr(model, "_rank_units", lambda *args: depths.append(args[2]))
     for first in ("project", "distortion"):
-        with model._shared_results(cb, data, ("quantization_error", "distortion"), temperature=0.6,
-                                   kernel=WINDOW):
+        with _scope(cb, data, ("quantization_error", "distortion"), temperature=0.6, kernel="window"):
             if first == "distortion":
                 assert distortion(cb, data, 0.6, WINDOW) == direct[1]
             assert np.array_equal(project(cb, data, depth=2).bmu_ranks, direct[0])
@@ -429,7 +435,7 @@ def test_distortion_outside_the_evaluation_plan_runs_its_own_pass(monkeypatch, c
     direct = distortion(cb, data, *own)
     passes = _count_distortion_passes(monkeypatch)
     metrics = ("quantization_error", "distortion") if asked else ("quantization_error",)
-    with model._shared_results(cb, data, metrics, temperature=0.6) as evaluation:
+    with _scope(cb, data, metrics, temperature=0.6) as evaluation:
         assert distortion(cb, data, *own) == direct
         assert evaluation.distortion is None and evaluation.ranks is None
         project(cb, data, depth=1)
