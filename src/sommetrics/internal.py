@@ -12,8 +12,8 @@ import numpy as np
 
 from .grid import GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _pair_distances, adjacency_pairs
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
-from .model import (_BLOCK, CodeBook, Dataset, _distortion_pass, _evaluation, _evaluation_distortion_pass,
-                    _overflow_is_an_error, _paired_squared_distances, bmu_distances, project, squared_distances)
+from .model import (_BLOCK, CodeBook, Dataset, _distortion_pass, _evaluation, _overflow_is_an_error,
+                    _paired_squared_distances, bmu_distances, project, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -30,14 +30,12 @@ def distortion(codebook: CodeBook, data: Dataset, temperature: float,
     sample, weighted by the kernel applied to its map distance from the BMU.
     Within an evaluation that asks for it at these parameters, the total comes
     from the pass that also makes the evaluation's projection; that pass runs
-    once, and an error it raised is raised again.
+    once, and its result or error is kept (``_Evaluation.once``).
     """
     evaluation = _evaluation(codebook, data)
     if evaluation is None or (temperature, kernel) != (evaluation.temperature, evaluation.kernel):
         return float(_distortion_pass(codebook, data, temperature, kernel)[0]) / data.n_samples
-    total = _evaluation_distortion_pass(evaluation)
-    if isinstance(total, ValueError):
-        raise total
+    total = evaluation.once("distortion", lambda: _distortion_pass(codebook, data, temperature, kernel))[0]
     return float(total) / data.n_samples
 
 
@@ -146,15 +144,13 @@ def _pair_sums(codebook: CodeBook, data: Dataset, own: tuple[int | None, bool, b
     """The scan for the consumers ``own`` = (trust/NP order, KSE, C), which the caller has checked.
 
     Inside an evaluation whose pair plan holds them, the one scan of the plan
-    serves them; it runs once and is kept. Other consumers are scanned on
-    their own.
+    serves them; it runs once, and its result or error is kept. Other
+    consumers are scanned on their own.
     """
     evaluation = _evaluation(codebook, data)
     if evaluation is None or any(mine and mine != plan for mine, plan in zip(own, evaluation.pair_plan)):
         return _pair_scan(codebook, data, *own)  # not in the plan: scanned alone, not kept
-    if evaluation.pairs is None:
-        evaluation.pairs = _pair_scan(codebook, data, *evaluation.pair_plan)
-    return evaluation.pairs
+    return evaluation.once("pairs", lambda: _pair_scan(codebook, data, *evaluation.pair_plan))
 
 
 def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: bool) -> _PairSums:

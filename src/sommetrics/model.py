@@ -156,11 +156,10 @@ def _small_ufunc_buffer():
 
 
 # Elements per stacked slab of the distance kernel (see _pairwise_sum for how
-# many are live) and sample indices per draw of the trainer; a constant, so
-# bits never depend on the machine.
+# many are live); a constant, so bits never depend on the machine.
 _CHUNK = 65_536
 _TABLE = 8_192  # entries per weight table of the trainer
-_SLICE = 4_096  # the trainer's drawn indices turned into Python ints at a time
+_SLICE = 4_096  # the trainer's indices drawn and turned into Python ints at a time
 _BLOCK = 256  # rows per block of every scan (projection, pair scans, distortion, topographic product)
 
 
@@ -269,9 +268,22 @@ class _Evaluation:
     temperature: float | None  # distortion's, None unless the evaluation asks for it: then its pass makes the ranks
     kernel: NeighborhoodKernel
     pair_plan: tuple[int | None, bool, bool]  # the (trust/NP order, KSE, C) consumers of the one pair scan
-    ranks: np.ndarray | None = None  # read-only depth-min(2, K) ranks of project
-    distortion: np.float64 | ValueError | None = None  # the total of distortion's pass, or the error it raised
-    pairs: tuple | None = None  # the pair scan of pair_plan, made by internal._pair_sums
+    ranks: np.ndarray | ValueError | None = None  # read-only depth-min(2, K) ranks of project
+    distortion: tuple | ValueError | None = None  # (total, ranks) of distortion's pass at the plan's temperature
+    pairs: tuple | ValueError | None = None  # the pair scan of pair_plan, made by internal._pair_sums
+
+    def once(self, slot: str, make):
+        """``make()``'s value, made on first need and kept in ``slot``; a ``ValueError`` it raised is kept instead."""
+        kept = getattr(self, slot)
+        if kept is None:
+            try:
+                kept = make()
+            except ValueError as exc:
+                kept = exc
+            setattr(self, slot, kept)
+        if isinstance(kept, ValueError):
+            raise kept.with_traceback(None)  # a kept traceback would hold the failed computation's arrays
+        return kept
 
 
 _SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_evaluation", default=None)
@@ -298,13 +310,12 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
 
     Within an evaluation (``report._computations``), a call at depth 1 or 2
     reads the leading columns of one read-only ranking of depth ``min(2, K)``,
-    made on first need: the ranking is exact, so they are the ranks a
-    shallower call would compute. A deeper call ranks on its own, and its
-    ranks are not kept. When the evaluation asks for distortion at a
-    temperature, the ranking comes from distortion's exact pass
-    (``_distortion_pass``), which keeps its total for distortion; if that pass
-    raises, its error is kept for distortion and the ranking is made as
-    outside an evaluation.
+    made once (``_Evaluation.once``, which keeps an error too): the ranking is
+    exact, so they are the ranks a shallower call would compute. A deeper
+    call ranks on its own, and its ranks are not kept. When the evaluation
+    asks for distortion, the ranking comes from distortion's exact pass
+    (``_distortion_pass``), kept whole for distortion; if that pass raises,
+    the ranking is made as outside an evaluation.
     """
     _check_dims(codebook, data)
     K = codebook.n_units
@@ -313,29 +324,19 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     evaluation = _evaluation(codebook, data)
     if evaluation is None or depth > 2:
         return ProjectionIndex(_rank_units(codebook, data, depth))
-    if evaluation.ranks is None and evaluation.temperature is not None:
-        _evaluation_distortion_pass(evaluation)
-    if evaluation.ranks is None:
-        _keep_ranks(evaluation, _rank_units(codebook, data, min(2, K)))
-    return ProjectionIndex(evaluation.ranks[:, :depth])
 
+    def ranks():
+        if evaluation.temperature is not None:
+            try:  # distortion's pass, kept whole for distortion, which raises its error
+                return evaluation.once("distortion", lambda: _distortion_pass(
+                    codebook, data, evaluation.temperature, evaluation.kernel))[1]
+            except ValueError:
+                pass  # the other metrics rank as without distortion
+        return _rank_units(codebook, data, min(2, K))
 
-def _keep_ranks(evaluation: _Evaluation, ranks: np.ndarray) -> None:
-    ranks.flags.writeable = False  # every metric of the evaluation gets a view of this one array
-    evaluation.ranks = ranks
-
-
-def _evaluation_distortion_pass(evaluation: _Evaluation) -> np.float64 | ValueError:
-    """Distortion's pass for the evaluation, run once: keeps its ranks, and keeps and returns its total or error."""
-    if evaluation.distortion is None:
-        try:
-            evaluation.distortion, ranks = _distortion_pass(evaluation.codebook, evaluation.data,
-                                                            evaluation.temperature, evaluation.kernel)
-        except ValueError as exc:
-            evaluation.distortion = exc
-        else:
-            _keep_ranks(evaluation, ranks)
-    return evaluation.distortion
+    kept = evaluation.once("ranks", ranks)
+    kept.flags.writeable = False  # every metric of the evaluation gets a view of this one array
+    return ProjectionIndex(kept[:, :depth])
 
 
 def _rank_units(codebook: CodeBook, data: Dataset, depth: int) -> np.ndarray:
@@ -487,13 +488,11 @@ class TrainerConfig:
 def _draws(rng: np.random.Generator, n: int, count: int):
     """``count`` sample indices below ``n`` as Python ints: the stream of one draw per step.
 
-    They are drawn ``_CHUNK`` at a time and turned into ints ``_SLICE`` at a
-    time, so no list of a whole chunk is built.
+    They are drawn and turned into ints ``_SLICE`` at a time; ``Generator.integers``
+    gives the same stream however the draws are split.
     """
-    for start in range(0, count, _CHUNK):
-        chunk = rng.integers(n, size=min(_CHUNK, count - start))
-        for s in range(0, len(chunk), _SLICE):
-            yield from chunk[s:s + _SLICE].tolist()
+    for start in range(0, count, _SLICE):
+        yield from rng.integers(n, size=min(_SLICE, count - start)).tolist()
 
 
 def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:

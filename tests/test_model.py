@@ -338,7 +338,8 @@ def test_distortion_pass_ranks_match_bruteforce_on_tied_integer_data(topology, r
     assert ranks.tolist() == project_bruteforce(data.samples, cb.prototypes, depth)
     with _scope(cb, data, ("distortion",), temperature=0.8) as evaluation:
         assert np.array_equal(project(cb, data, depth=1).bmu_ranks, ranks[:, :1])
-        assert np.array_equal(evaluation.ranks, ranks) and evaluation.distortion == total
+        kept_total, kept_ranks = evaluation.distortion  # the pass is kept whole: its total and its ranks
+        assert np.array_equal(evaluation.ranks, ranks) and kept_total == total and np.array_equal(kept_ranks, ranks)
 
 
 def test_distortion_pass_makes_the_evaluation_ranks_and_total(monkeypatch):
@@ -475,13 +476,20 @@ def _outcome(compute, *args):
 )
 @example(topology="rectangular", rows=1, cols=1, n=5, d=2, scale=1.0, duplicates=False, labelled=True, k=2,
          temperature=0.5, kernel="gaussian", metrics=list(METRIC_NAMES), seed=0)  # no diameter: KSE fails alone
+@example(topology="rectangular", rows=1, cols=2, n=5, d=2, scale=3e153, duplicates=False, labelled=False, k=2,
+         temperature=0.5, kernel="gaussian", seed=0,  # the projection overflows, so the scan fails with it
+         metrics=["quantization_error", "topographic_error", "trustworthiness", "neighborhood_preservation"])
+@example(topology="rectangular", rows=1, cols=2, n=5, d=1, scale=3e153, duplicates=False, labelled=False, k=2,
+         temperature=0.5, kernel="gaussian", seed=1,  # the projection holds; the scan's sample distances overflow
+         metrics=["quantization_error", "topographic_error", "trustworthiness", "neighborhood_preservation"])
 def test_an_evaluation_equals_each_metric_called_alone(topology, rows, cols, n, d, scale, duplicates, labelled,
                                                        k, temperature, kernel, metrics, seed):
     # through report._computations, every value is bit-equal to the
     # registry's call outside any evaluation, and every error has its type and
     # message. The evaluation completes at most one N x K pass, distortion's
     # (tried only when distortion is asked for) or a depth-2 _rank_units, and
-    # at most one sample-pair scan; a pass or scan that raises keeps nothing.
+    # tries at most one sample-pair scan; a pass or scan that raises keeps its
+    # error, so _rank_units and _pair_scan are counted before they run.
     # Integer lattices tie often.
     rng = np.random.default_rng(seed)
     grid = MapGrid(rows, cols, topology)
@@ -505,14 +513,12 @@ def test_an_evaluation_equals_each_metric_called_alone(topology, rows, cols, n, 
         return result
 
     def counting_rank_units(*args):
-        result = rank_units(*args)
         ranks.append(args[2])
-        return result
+        return rank_units(*args)
 
     def counting_scans(*args):
-        result = pair_scan(*args)
         scans.append(args[2:])
-        return result
+        return pair_scan(*args)
 
     # not the monkeypatch fixture: hypothesis runs every example in one test call
     with pytest.MonkeyPatch.context() as patch:
@@ -655,14 +661,13 @@ def test_train_window_kernel_bmu_step_contracts():
 @pytest.mark.parametrize("d, chunk", [(1, None), (2, None), (3, None), (9, 7), (5, 47), (16, None), (50, None),
                                       (250, None)])
 def test_train_matches_reference_loop(d, chunk, topology, kernel):
-    # the slab-sum BMU, the per-block weight tables and the chunked draws
+    # the slab-sum BMU, the per-block weight tables and the sliced draws
     # change no bit of the trained codebook; N = 1 and N < K resample the
-    # initial rows. A draw chunk and table cap of 7 split the 60 steps and
-    # leave one step per weight table (the 1x20 chain's 20 distances exceed
-    # it); 47 gives tables of 7, 9 and 2 steps (3x4 rectangular, 3x4
-    # hexagonal, chain), none of which divides the draw chunk, so tables and
-    # draws split at different steps. Draws become ints 5 at a time, which
-    # divides neither. The chain's diameter, 19, is large relative to K.
+    # initial rows. A table cap of 7 leaves one step per weight table (the
+    # 1x20 chain's 20 distances exceed it); 47 gives tables of 7, 9 and 2
+    # steps (3x4 rectangular, 3x4 hexagonal, chain). Indices are drawn 5 at a
+    # time, which divides neither 7 nor 9, so tables and draws split at
+    # different steps. The chain's diameter, 19, is large relative to K.
     rng = np.random.default_rng(d)
     cases = [(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d), 4.0, n) for n in (1, 5, 40)]
     # every cyclic shift of v lies at the same exact distance from the
@@ -681,7 +686,6 @@ def test_train_matches_reference_loop(d, chunk, topology, kernel):
                                kernel=kernel)
         with pytest.MonkeyPatch.context() as mp:
             if chunk:
-                mp.setattr(model, "_CHUNK", chunk)
                 mp.setattr(model, "_TABLE", chunk)
                 mp.setattr(model, "_SLICE", 5)
             trained = train_som(data, config)
@@ -837,9 +841,9 @@ def test_trainer_config_checks_t_min_without_the_distance_matrix():
 
 
 def test_train_som_memory_is_bounded():
-    # 70,000 steps draw two chunks of indices; one 65,536-element list of
-    # Python ints would be 2.5 MiB, and weight tables of 65,536 entries 0.5 MiB
-    # each. Ints made 4,096 at a time and tables of 8,192 entries hold ~1 MiB.
+    # 70,000 steps: one 65,536-element list of Python ints would be 2.5 MiB,
+    # and weight tables of 65,536 entries 0.5 MiB each. Indices drawn and made
+    # ints 4,096 at a time and tables of 8,192 entries hold ~1 MiB.
     data = Dataset(np.random.default_rng(0).normal(size=(1000, 2)))
     config = TrainerConfig(30, 30, "hexagonal", iterations=70_000, seed=0)
     tracemalloc.start()
