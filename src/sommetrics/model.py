@@ -224,7 +224,7 @@ def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     runs under ``_small_ufunc_buffer``.
     """
     n, m, d = len(x), len(prototypes), x.shape[1]
-    out = np.zeros((n, m))
+    out = np.empty((n, m))
     size = max(1, _CHUNK // min(d, 8))  # output elements per chunk: one slab holds at most _CHUNK
     cols = max(1, min(m, size))
     rows = size // cols
@@ -249,7 +249,7 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
     d = x.shape[1]
     size = max(1, _CHUNK // min(d, 8))
     xt, pt = np.ascontiguousarray(x.T), np.ascontiguousarray(prototypes.T)
-    out = np.zeros(len(rows))
+    out = np.empty(len(rows))
     with _overflow_is_an_error():
         for s in range(0, len(rows), size):
             r, u = rows[s:s + size], units[s:s + size]

@@ -1226,6 +1226,77 @@ print(json.dumps([seen, "scipy.sparse.csgraph" in sys.modules]))
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == [{"import": [], "help": [], "train": []}, True]
 
+
+def _fresh_python(args, blas_threads=None):
+    """Run ``python args`` with ``PYTHONPATH=src`` and OPENBLAS_NUM_THREADS set to ``blas_threads``, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(sm.__file__).resolve().parents[1])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    result = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout
+
+
+def test_lazy_package_loads_nothing_until_a_name_is_used():
+    code = """
+import json, sys, types
+import sommetrics as sm
+numpy_on_import = "numpy" in sys.modules
+submodules = [isinstance(getattr(sm, name), types.ModuleType) for name in ("dataio", "model", "internal", "report")]
+star = {}
+exec("from sommetrics import *", star)
+del star["__builtins__"]
+owners = ("external", "grid", "internal", "model", "report")
+same = [name for name in sm.__all__ if name == "__version__"
+        or any(getattr(sys.modules["sommetrics." + m], name, None) is star[name] for m in owners)]
+print(json.dumps([numpy_on_import, submodules, sorted(star) == sorted(sm.__all__), same == sm.__all__,
+                  sm.project is sm.model.project, sm.evaluate is sm.report.evaluate, hasattr(sm, "no_such_name")]))
+"""
+    assert json.loads(_fresh_python(["-c", code])) == [False, [True] * 4, True, True, True, True, False]
+
+
+def _child_blas_threads(blas_threads):
+    """(OPENBLAS_NUM_THREADS, thread count or None) after ``import sommetrics.cli`` in a fresh interpreter.
+
+    The count is None off Linux and when numpy's BLAS is not OpenBLAS.
+    """
+    code = """
+import json, os, sys
+import sommetrics.cli
+openblas = sys.platform == "linux" and "openblas" in open("/proc/self/maps").read().lower()
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")) if openblas else None]))
+"""
+    return json.loads(_fresh_python(["-c", code], blas_threads))
+
+
+def test_cli_blas_threads_default_to_one():
+    value, threads = _child_blas_threads(None)
+    assert value == "1"
+    assert threads in (None, 1)
+
+
+def test_cli_blas_threads_keep_the_callers_setting():
+    value, threads = _child_blas_threads("2")
+    assert value == "2"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if threads is not None and cpus >= 2:
+        assert threads > 1
+
+
+def test_cli_evaluate_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # no distortion, so that the projection's screen runs its matrix product
+    rng = np.random.default_rng(11)
+    codebook, data = tmp_path / "codebook.csv", tmp_path / "data.csv"
+    save_matrix(codebook, rng.normal(size=(64, 6)))
+    save_matrix(data, rng.normal(size=(700, 6)))
+    args = ["-m", "sommetrics.cli", "evaluate", "--codebook", str(codebook), "--data", str(data),
+            "--rows", "8", "--cols", "8", "--metrics",
+            "quantization_error,topographic_error,combined_error,topographic_product,topographic_function"]
+    one, two = _fresh_python(args), _fresh_python(args, "2")
+    assert json.loads(one)["metrics"]
+    assert one == two
+
 # ---------------------------------------------------------------------------
 # SVG rendering
 # ---------------------------------------------------------------------------
