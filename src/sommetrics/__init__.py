@@ -19,8 +19,7 @@ _SOURCES = {
     "internal": ("TopographicFunction", "c_measure", "combined_error", "distortion", "kruskal_shepard_error",
                  "neighborhood_preservation", "quantization_error", "topographic_error",
                  "topographic_function", "topographic_product", "trustworthiness"),
-    "model": ("CodeBook", "Dataset", "ProjectionIndex", "TrainerConfig", "init_codebook", "project",
-              "receptive_field_connectivity", "train_som"),
+    "model": ("CodeBook", "Dataset", "ProjectionIndex", "TrainerConfig", "init_codebook", "project", "train_som"),
     "report": ("METRIC_NAMES", "EvaluationConfig", "MetricReport", "evaluate"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
@@ -38,39 +37,4 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "MapGrid",
-    "NeighborhoodKernel",
-    "GAUSSIAN",
-    "WINDOW",
-    "distance_matrix",
-    "adjacency_pairs",
-    "CodeBook",
-    "Dataset",
-    "ProjectionIndex",
-    "TrainerConfig",
-    "project",
-    "init_codebook",
-    "train_som",
-    "receptive_field_connectivity",
-    "quantization_error",
-    "distortion",
-    "topographic_error",
-    "combined_error",
-    "trustworthiness",
-    "neighborhood_preservation",
-    "topographic_product",
-    "topographic_function",
-    "TopographicFunction",
-    "kruskal_shepard_error",
-    "c_measure",
-    "purity",
-    "clustering_accuracy",
-    "class_scatter_index",
-    "contingency_table",
-    "EvaluationConfig",
-    "MetricReport",
-    "METRIC_NAMES",
-    "evaluate",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

@@ -41,7 +41,26 @@ def _refuse_unwritable(out_path: str) -> None:
         _fail("input", f"cannot write {out_path}: no directory {target.parent}", 1)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports click's own usage errors (a bad option value, an unknown command) as config errors."""
+
+    def parse_args(self, ctx, args):
+        bare = not args  # the parser consumes args
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            if bare:  # click >= 8.2 raises a bare command's help as a usage error: let it print the help
+                raise
+            _fail("config", exc.format_message(), 2)
+
+    def invoke(self, ctx):  # looks the command up, then parses the command's own options
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail("config", exc.format_message(), 2)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Quality metrics for self-organizing maps."""
 

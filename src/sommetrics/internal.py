@@ -387,10 +387,9 @@ def topographic_function(codebook: CodeBook, data: Dataset, k_max: int | None = 
     """Count, per radius k, ordered unit pairs with adjacent receptive fields but map distance > k.
 
     Receptive-field adjacency is estimated from the BMU / second-BMU
-    connectivity of the data (``receptive_field_connectivity``): each
-    unordered pair of units that are BMU and second BMU of some sample counts
-    as two ordered pairs. The series runs for k = 1..k_max (default: the map
-    diameter).
+    connectivity of the data: each unordered pair of units that are BMU and
+    second BMU of some sample counts as two ordered pairs. The series runs
+    for k = 1..k_max (default: the map diameter).
     """
     K = codebook.n_units
     if K < 2:
@@ -403,9 +402,9 @@ def topographic_function(codebook: CodeBook, data: Dataset, k_max: int | None = 
         k_max = delta_max
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    pair_dists = _pair_distances(grid, *np.divmod(pairs, K))
+    pair_dists = np.sort(_pair_distances(grid, *np.divmod(pairs, K)))
     ks = np.arange(1, k_max + 1)
-    tf = 2 * (pair_dists[None, :] > ks[:, None]).sum(axis=1)
+    tf = 2 * (len(pair_dists) - np.searchsorted(pair_dists, ks, side="right"))
     denom = K * (K - 3 ** grid.dimensionality)
     normalized_tf = tf / denom if denom > 0 else None
     return TopographicFunction(ks, tf, ks / delta_max, normalized_tf)

@@ -415,23 +415,6 @@ def bmu_distances(codebook: CodeBook, data: Dataset, bmus: np.ndarray) -> np.nda
     return np.sqrt(_paired_squared_distances(data.samples, np.arange(data.n_samples), codebook.prototypes, bmus))
 
 
-def receptive_field_connectivity(codebook: CodeBook, data: Dataset) -> np.ndarray:
-    """K x K boolean matrix marking unit pairs that are BMU and second BMU of some sample.
-
-    Symmetric with an all-false diagonal; estimates receptive-field adjacency
-    without a Voronoi tessellation.
-    """
-    if codebook.n_units < 2:
-        raise ValueError("receptive-field connectivity requires at least two units")
-    proj = project(codebook, data, depth=2)
-    K = codebook.n_units
-    conn = np.zeros((K, K), dtype=bool)
-    conn[proj.bmu, proj.second_bmu] = True
-    conn |= conn.T
-    np.fill_diagonal(conn, False)
-    return conn
-
-
 def init_codebook(data: Dataset, grid: MapGrid, seed) -> CodeBook:
     """Initialize prototypes by sampling data rows (without replacement when N >= K)."""
     rng = np.random.default_rng(seed)

@@ -165,6 +165,26 @@ def topographic_product_bruteforce(prototypes, unit_distances) -> float:
     return total / (K * (K - 1))
 
 
+def topographic_function_bruteforce(samples, prototypes, rows: int, cols: int, topology: str, k_max=None):
+    """(k, tf, normalized_k, normalized_tf) as lists, from the BMU / second-BMU pairs of the samples.
+
+    tf counts, per radius k = 1..k_max (default: the map diameter), the ordered
+    unit pairs (a, b) such that some sample has a and b as its two nearest
+    units, in either order, and whose lattice distance exceeds k.
+    normalized_tf is None when K <= 3**p, p being 1 for a chain and 2 otherwise.
+    """
+    dist = lattice_distances(rows, cols, topology)
+    adjacent = set()
+    for first, second in project_bruteforce(samples, prototypes, 2):
+        adjacent |= {(first, second), (second, first)}
+    diameter = max(max(row) for row in dist)
+    ks = list(range(1, (diameter if k_max is None else k_max) + 1))
+    tf = [sum(1 for a, b in adjacent if dist[a][b] > k) for k in ks]
+    K = rows * cols
+    denom = K * (K - 3 ** (1 if rows == 1 or cols == 1 else 2))
+    return ks, tf, [k / diameter for k in ks], [t / denom for t in tf] if denom > 0 else None
+
+
 def clustering_accuracy_bruteforce(assignments, labels) -> float:
     """Best accuracy over every one-to-one id mapping, by full enumeration."""
     n = len(assignments)

@@ -36,7 +36,8 @@ from sommetrics.internal import _map_path_costs
 from sommetrics.model import _SCOPE, bmu_distances, squared_distances
 from sommetrics.report import _computations
 
-from oracles import min_path_cost_exhaustive, topographic_product_bruteforce, trust_np_bruteforce
+from oracles import (min_path_cost_exhaustive, topographic_function_bruteforce, topographic_product_bruteforce,
+                     trust_np_bruteforce)
 
 
 def chain_codebook(values):
@@ -653,6 +654,46 @@ def test_tf_nonincreasing(seed, n):
     tf = topographic_function(cb, data)
     assert np.all(np.diff(tf.tf) <= 0)
     assert tf.tf[-1] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), topology=st.sampled_from(["rectangular", "hexagonal"]),
+       chain=st.booleans(), n=st.integers(1, 30), past_diameter=st.one_of(st.none(), st.integers(-3, 3)))
+def test_tf_matches_bruteforce_on_tied_integer_data(seed, topology, chain, n, past_diameter):
+    # small integers: exact ties between the first and second BMU and between
+    # samples; k_max runs below, at and past the diameter, or is left default
+    rng = np.random.default_rng(seed)
+    rows, cols = (1 if chain else int(rng.integers(2, 5))), int(rng.integers(2, 7))
+    grid = MapGrid(rows, cols, topology)
+    d = int(rng.integers(1, 4))
+    prototypes = rng.integers(0, 3, size=(grid.n_units, d)).astype(float)
+    samples = rng.integers(0, 3, size=(n, d)).astype(float)
+    k_max = None if past_diameter is None else max(1, grid.max_distance() + past_diameter)
+    tf = topographic_function(CodeBook(prototypes, grid), Dataset(samples), k_max)
+    k, counts, normalized_k, normalized_tf = topographic_function_bruteforce(samples, prototypes, rows, cols,
+                                                                             topology, k_max)
+    for got, expected in ((tf.k, k), (tf.tf, counts)):
+        assert got.dtype == np.asarray(expected).dtype
+        assert got.tolist() == expected
+    assert tf.normalized_k.tolist() == normalized_k
+    assert (None if tf.normalized_tf is None else tf.normalized_tf.tolist()) == normalized_tf
+
+
+def test_tf_requires_two_units():
+    cb = CodeBook(np.zeros((1, 1)), MapGrid(1, 1))
+    with pytest.raises(ValueError, match="^topographic function requires at least two units$"):
+        topographic_function(cb, Dataset(np.zeros((2, 1))))
+
+
+def test_tf_memory_does_not_grow_with_radii_times_pairs():
+    # 758 distinct BMU / second-BMU pairs on a 20x20 map: a (k_max, pairs)
+    # boolean matrix at k_max = 100,000 would be 72 MiB, while each of the
+    # four output series is 0.8 MiB
+    rng = np.random.default_rng(4)
+    grid = MapGrid(20, 20)
+    cb, data = CodeBook(rng.normal(size=(grid.n_units, 2)), grid), Dataset(rng.normal(size=(3000, 2)))
+    topographic_function(cb, data, k_max=10)
+    assert _traced_peak(topographic_function, cb, data, 100_000) < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -1111,6 +1112,32 @@ def test_cli_config_errors_precede_an_unusable_out(runner, fixture_files, tmp_pa
     assert len(lines) == 1 and lines[0].startswith("error: config: "), lines
 
 
+@pytest.mark.parametrize("args, line", [
+    (_evaluate_args("cb.csv", "data.csv", "trustworthiness", ["--k", "1.5"]),
+     "Invalid value for '--k': '1.5' is not a valid integer."),
+    (_evaluate_args("cb.csv", "data.csv", "quantization_error", ["--topology", "hex"]),
+     "Invalid value for '--topology': 'hex' is not one of 'rectangular', 'hexagonal'."),
+    (["evaluate", "--data", "data.csv", "--rows", "3", "--cols", "3", "--metrics", "quantization_error"],
+     "Missing option '--codebook'."),
+    (["demo", "--experiment", "nope", "--outdir", "out"],
+     "Invalid value for '--experiment': 'nope' is not one of 'square', 'tf1d', 'stripe'."),
+    (["nosuch"], "No such command 'nosuch'."),
+    (["--bogus"], click.exceptions.NoSuchOption("--bogus").format_message()),  # its wording changed in click 8.2
+], ids=["k_value", "topology_value", "missing_codebook", "experiment_value", "command", "group_option"])
+def test_cli_usage_errors_are_one_config_line(runner, args, line):
+    # click parses before any file is read, so the files need not exist
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: config: {line}"]
+
+
+def test_cli_usage_bare_command_prints_its_help(runner):
+    # the help goes to stdout (exit 0) up to click 8.1, to stderr (exit 2) from click 8.2
+    result = runner.invoke(main, [])
+    assert result.stdout + result.stderr == runner.invoke(main, ["--help"]).stdout
+
+
 def test_cli_evaluate_help_lists_metric_names(runner):
     result = runner.invoke(main, ["evaluate", "--help"])
     assert result.exit_code == 0
@@ -1254,6 +1281,11 @@ print(json.dumps([numpy_on_import, submodules, sorted(star) == sorted(sm.__all__
                   sm.project is sm.model.project, sm.evaluate is sm.report.evaluate, hasattr(sm, "no_such_name")]))
 """
     assert json.loads(_fresh_python(["-c", code])) == [False, [True] * 4, True, True, True, True, False]
+
+
+def test_lazy_package_reaches_every_module():
+    package = Path(sm.__file__).parent
+    assert sorted(sm._SUBMODULES) == sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
 
 
 def _child_blas_threads(blas_threads):

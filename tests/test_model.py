@@ -21,7 +21,6 @@ from sommetrics import (
     init_codebook,
     project,
     quantization_error,
-    receptive_field_connectivity,
     topographic_error,
     train_som,
 )
@@ -550,49 +549,6 @@ def test_project_depth_k_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < limit * 2**20
-
-
-def test_receptive_field_connectivity_single_pair():
-    cb = chain_codebook([0.0, 1.0, 5.0])
-    data = Dataset(np.array([[0.2]]))  # b1 = 0, b2 = 1
-    conn = receptive_field_connectivity(cb, data)
-    expected = np.zeros((3, 3), dtype=bool)
-    expected[0, 1] = expected[1, 0] = True
-    assert np.array_equal(conn, expected)
-
-
-def test_receptive_field_connectivity_absent_without_samples():
-    cb = chain_codebook([0.0, 1.0, 10.0, 11.0])
-    data = Dataset(np.array([[0.4]]))
-    conn = receptive_field_connectivity(cb, data)
-    assert not conn[2, 3] and not conn[3, 2]
-
-
-def test_receptive_field_connectivity_ordered_stripe_is_chain_adjacent():
-    rng = np.random.default_rng(3)
-    cb = chain_codebook(np.arange(6, dtype=float))
-    data = Dataset((rng.random((400, 1)) * 6.0) - 0.5)
-    conn = receptive_field_connectivity(cb, data)
-    dmat = np.abs(np.arange(6)[:, None] - np.arange(6)[None, :])
-    assert np.all(dmat[conn] == 1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 20), k=st.integers(2, 9), seed=st.integers(0, 1000))
-def test_receptive_field_connectivity_symmetric_false_diagonal(n, k, seed):
-    rng = np.random.default_rng(seed)
-    grid = MapGrid(1, k)
-    cb = CodeBook(rng.normal(size=(k, 2)), grid)
-    data = Dataset(rng.normal(size=(n, 2)))
-    conn = receptive_field_connectivity(cb, data)
-    assert np.array_equal(conn, conn.T)
-    assert not np.any(np.diag(conn))
-
-
-def test_receptive_field_connectivity_needs_two_units():
-    cb = CodeBook(np.zeros((1, 1)), MapGrid(1, 1))
-    with pytest.raises(ValueError):
-        receptive_field_connectivity(cb, Dataset(np.zeros((2, 1))))
 
 
 def test_init_codebook_permutation_when_counts_match():
