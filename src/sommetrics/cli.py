@@ -45,12 +45,12 @@ class _Group(click.Group):
     """Reports click's own usage errors (a bad option value, an unknown command) as config errors."""
 
     def parse_args(self, ctx, args):
-        bare = not args  # the parser consumes args
+        if not args and not ctx.resilient_parsing:  # a bare command prints its help, exit 0, under every click
+            click.echo(ctx.get_help(), color=ctx.color)
+            ctx.exit()
         try:
             return super().parse_args(ctx, args)
         except click.UsageError as exc:
-            if bare:  # click >= 8.2 raises a bare command's help as a usage error: let it print the help
-                raise
             _fail("config", exc.format_message(), 2)
 
     def invoke(self, ctx):  # looks the command up, then parses the command's own options

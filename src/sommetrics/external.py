@@ -80,36 +80,25 @@ def clustering_accuracy(assignments, labels) -> float:
     return float(counts[rows, cols].sum() / counts.sum())
 
 
-def _component_count(edges: np.ndarray, n_units: int, marked: np.ndarray) -> int:
-    """Connected components among ``marked`` units, joined by the map's ``edges`` (``adjacency_pairs``).
-
-    The graph keeps every unit but only the edges between marked units, so
-    each unmarked unit is a component of its own and is not counted.
-    """
-    # scipy loads on first use, so that importing the package and training do not pay for it
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    inside = np.zeros(n_units, dtype=bool)
-    inside[marked] = True
-    a, b = edges[inside[edges].all(axis=1)].T
-    graph = coo_array((np.ones(len(a)), (a, b)), shape=(n_units, n_units)).tocsr()
-    return connected_components(graph, directed=False)[0] - (n_units - len(marked))
-
-
 def class_scatter_index(codebook: CodeBook, data: Dataset) -> float:
     """Average number of contiguous map regions occupied per class.
 
-    For each class, units holding at least one sample of that class are
-    marked and their connected components counted; 1.0 means every class sits
-    in a single blob. Classes without samples are excluded from the average:
-    the class ids are renumbered over those that occur.
+    For each class, the units holding at least one sample of that class are
+    taken with the map edges between them, and the components of that
+    subgraph counted; 1.0 means every class sits in a single blob. Classes
+    without samples are excluded from the average: the class ids are
+    renumbered over those that occur.
     """
     if data.labels is None:
         raise ValueError("class scatter index requires labels")
+    # scipy loads on first use, so that importing the package and training do not pay for it
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     bmus = project(codebook, data, depth=1).bmu
     counts = contingency_table(bmus, _dense_ids(data.labels, "labels"), n_clusters=codebook.n_units)
-    edges = adjacency_pairs(codebook.grid)
-    groups = [_component_count(edges, codebook.n_units, np.flatnonzero(counts[:, j] > 0))
-              for j in range(counts.shape[1])]
+    a, b = adjacency_pairs(codebook.grid).T
+    graph = csr_array((np.ones(len(a)), (a, b)), shape=(codebook.n_units, codebook.n_units))
+    groups = [connected_components(graph[units][:, units], directed=False)[0]
+              for units in map(np.flatnonzero, counts.T)]
     return float(np.mean(groups))

@@ -224,13 +224,8 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     samples = load_matrix(config.data_path)
     labels = load_labels(config.labels_path) if config.labels_path else None
 
-    grid = MapGrid(config.rows, config.cols, config.topology)
-    if protos.shape[0] != grid.n_units:
-        raise InputError(
-            f"codebook {config.codebook_path} has {protos.shape[0]} rows but the "
-            f"{config.rows}x{config.cols} grid has {grid.n_units} units"
-        )
-    codebook = _from_file(config.codebook_path, CodeBook, protos, grid)
+    codebook = _from_file(config.codebook_path, CodeBook, protos,
+                          MapGrid(config.rows, config.cols, config.topology))
     data = _from_file(config.data_path, Dataset, samples)
     if labels is not None:
         data = _from_file(config.labels_path, Dataset, data.samples, labels)

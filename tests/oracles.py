@@ -7,7 +7,9 @@ per-step loop and starts from the library's initial codebook and lattice
 distances, so that trained codebooks can be compared byte for byte. The
 file loaders ``load_matrix_reference`` and ``load_labels_reference`` keep the
 original whole-text parsers, so that the streamed ones can be compared with
-them result for result and message for message.
+them result for result and message for message, and ``save_matrix_reference``
+keeps the original whole-text writer, so that written files can be compared
+byte for byte.
 """
 from __future__ import annotations
 
@@ -288,3 +290,10 @@ def load_labels_reference(path) -> np.ndarray:
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
     return np.asarray(labels, dtype=np.int64)
+
+
+def save_matrix_reference(path, matrix) -> None:
+    """The whole-text matrix writer: every line is joined in memory, then written at once."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in matrix]
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from sommetrics.errors import InputError
 from sommetrics.figures import render_map_svg
 from sommetrics.report import EvaluationConfig, _jsonable, evaluate
 
-from oracles import _data_lines_reference, load_labels_reference, load_matrix_reference
+from oracles import _data_lines_reference, load_labels_reference, load_matrix_reference, save_matrix_reference
 
 
 @pytest.fixture
@@ -158,16 +159,14 @@ def _open_reading(size):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.one_of(_matrix_texts(), _BLANKS), read=st.sampled_from([1, 7, 64]),
-       block=st.sampled_from([1, 5, dataio._BLOCK]))
-def test_load_matrix_matches_whole_text_oracle(tmp_path, text, read, block):
+@given(text=st.one_of(_matrix_texts(), _BLANKS), read=st.sampled_from([1, 7, 64]))
+def test_load_matrix_matches_whole_text_oracle(tmp_path, text, read):
     # decoder reads of 1, 7 and 64 bytes split "\r\n" pairs, characters,
-    # lines and rows; blocks of 1 and 5 values split rows into many blocks
+    # lines and rows
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "open", _open_reading(read), raising=False)
-        mp.setattr(dataio, "_BLOCK", block)
         _assert_same_load(load_matrix, load_matrix_reference, path)
 
 
@@ -210,7 +209,7 @@ def test_load_labels_refuses_a_label_outside_int64_at_its_line(tmp_path, label):
 
 def test_load_matrix_memory_is_bounded(tmp_path):
     # the whole text, its line list and a list of float lists peaked at 7.5x
-    # the result; blocks of parsed rows and their join stay near 2x
+    # the result; blocks of parsed rows and their join peaked near 2x
     path = tmp_path / "big.csv"
     save_matrix(path, np.random.default_rng(4).normal(size=(50_000, 16)))
     tracemalloc.start()
@@ -221,6 +220,63 @@ def test_load_matrix_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert matrix.shape == (50_000, 16)
     assert peak < 2 * matrix.nbytes + 2**20, (peak, matrix.nbytes)
+
+
+def test_load_matrix_memory_is_one_growing_result(tmp_path):
+    # np.fromiter grows the result in place of joined blocks (2.02x the result)
+    path = tmp_path / "big.csv"
+    save_matrix(path, np.random.default_rng(4).normal(size=(50_000, 16)))
+    tracemalloc.start()
+    try:
+        matrix = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (50_000, 16)
+    assert peak < 1.5 * matrix.nbytes + 2**20, (peak, matrix.nbytes)
+
+
+def test_load_matrix_refuses_a_one_value_row_at_its_line(tmp_path):
+    # np.fromiter would broadcast the one value across the row
+    path = tmp_path / "short.csv"
+    path.write_text("1,2\n3,4\n5\n6,7\n")
+    with pytest.raises(InputError) as caught:
+        load_matrix(path)
+    assert str(caught.value) == f"{path}:3: expected 2 columns, found 1"
+
+
+_SAVED_FLOATS = st.one_of(st.floats(width=64), st.sampled_from(
+    [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.2250738585072e-308, 1e308, -1.7976931348623157e308]))
+
+
+@st.composite
+def _saved_matrices(draw):
+    """Matrices of at least one row: n x m, 1 x n and n x 1, and 1-D and 0-d arrays."""
+    shape = draw(st.sampled_from([(3, 4), (1, 5), (5, 1), (1, 1), (5,), ()]))
+    values = draw(st.lists(_SAVED_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=_saved_matrices(), name=st.sampled_from(["m.csv", "m.csv.gz", "m.bz2", "m.xz"]))
+def test_save_matrix_matches_whole_text_writer(tmp_path, matrix, name):
+    # a path ending in .gz, .bz2 or .xz is still written as plain text
+    path, expected = tmp_path / name, tmp_path / "expected.csv"
+    save_matrix(path, matrix)
+    save_matrix_reference(expected, matrix)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+def test_save_matrix_memory_is_one_row(tmp_path):
+    # the whole text and its line list peaked at 48.9 MiB for this 6.1 MiB matrix
+    matrix = np.random.default_rng(4).normal(size=(50_000, 16))
+    tracemalloc.start()
+    try:
+        save_matrix(tmp_path / "big.csv", matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def _decode_error(raw: bytes) -> str:
@@ -1136,6 +1192,12 @@ def test_cli_usage_bare_command_prints_its_help(runner):
     # the help goes to stdout (exit 0) up to click 8.1, to stderr (exit 2) from click 8.2
     result = runner.invoke(main, [])
     assert result.stdout + result.stderr == runner.invoke(main, ["--help"]).stdout
+
+
+def test_cli_usage_bare_command_help_is_stdout_exit_0(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 0 and result.stderr == ""
+    assert result.stdout == runner.invoke(main, ["--help"]).stdout
 
 
 def test_cli_evaluate_help_lists_metric_names(runner):
