@@ -13,7 +13,7 @@ import numpy as np
 from .grid import GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _pair_distances, adjacency_pairs
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
 from .model import (_BLOCK, CodeBook, Dataset, _distortion_pass, _evaluation, _overflow_is_an_error,
-                    _paired_squared_distances, bmu_distances, project, squared_distances)
+                    _paired_squared_distances, _pairwise_tree, bmu_distances, project, squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -153,20 +153,31 @@ def _pair_sums(codebook: CodeBook, data: Dataset, own: tuple[int | None, bool, b
     return evaluation.once("pairs", lambda: _pair_scan(codebook, data, *evaluation.pair_plan))
 
 
+def _leaf_terms(n: int) -> int:
+    """Most terms in one leaf of the pair scan's summation tree over N samples: at least 16 rows' worth."""
+    return max(2**16, 16 * n)
+
+
 def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: bool) -> _PairSums:
-    """One pass over all sample pairs, in ``_BLOCK``-row blocks, for the consumers switched on.
+    """One pass over all sample pairs for the consumers switched on, in leaves of numpy's summation tree.
 
     ``k`` is the trust/NP order (None: off); ``kse`` and ``c`` switch on the
-    Kruskal-Shepard and C sums. Each block computes its (B, N) squared input
-    distances and its BMU map distances once, the latter from the distance
-    rows of its distinct BMUs, in the smallest unsigned type that holds the
-    map diameter. One (B, N) float64 scratch, allocated once per scan, holds
-    in turn the KSE terms, the C terms and the sorted rows of trust/NP, so a
-    block holds two (B, N) float64 arrays. Integer map distances convert to
-    float64 exactly, so the narrow type changes no bit, and each KSE and C
-    sum is one ``.sum()`` over the block's terms, in block order. The block
-    size is a constant, so summation order and output bits never depend on
-    the machine.
+    Kruskal-Shepard and C sums. Each KSE and C sum adds, block by block of
+    ``_BLOCK`` rows, the sum of the block's (B, N) terms in numpy's pairwise
+    order, as ``terms.sum()`` would, without building the block:
+    ``_pairwise_tree`` splits each block's flat range of terms until a range
+    holds at most ``_leaf_terms(N)`` terms, and a leaf sums its range with
+    ``.sum()``. A leaf of a full block is whole rows; only the last, partial
+    block can cut a row. Each leaf computes the squared input distances and
+    the BMU map distances of the rows it touches, the latter from the distance
+    rows of the block's distinct BMUs, in the smallest unsigned type that
+    holds the map diameter; sums its range of the KSE and C terms; and runs
+    trust/NP on the rows that start in it. Two (rows, N) float64 buffers, allocated once
+    per scan, hold the distances and, in turn, the KSE terms, the C terms and
+    the sorted rows of trust/NP. Integer map distances convert to float64
+    exactly, so the narrow type changes no bit; the block and leaf sizes are
+    constants, so summation order and output bits never depend on the
+    machine, and the leaf size changes none.
     """
     x = data.samples
     n = len(x)
@@ -182,32 +193,48 @@ def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: b
     if k is not None:
         per_unit = np.bincount(bmus, minlength=grid.n_units)
         trust_terms, np_terms = np.empty(n), np.empty(n)
-    scratch = np.empty((min(_BLOCK, n), n))
+    limit = _leaf_terms(n)
+    distances, scratch = np.empty((2, min(_BLOCK, n, limit // n + 2), n))  # the most rows a leaf touches
     kse_sum = c_sum = 0.0
     for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        d2 = squared_distances(x[rows], x)
-        terms = scratch[:len(d2)]
-        units, unit_of = np.unique(bmus[rows], return_inverse=True)
+        stop = min(start + _BLOCK, n)
+        units, block_unit_of = np.unique(bmus[start:stop], return_inverse=True)
         unit_rows = _distance_rows(grid, units, by_distance)
-        dm = unit_rows.take(bmus, axis=1)[unit_of]
-        if kse:
-            np.divide(d2, max_d2, out=terms)
-            for row, row_dm in zip(terms, dm):
-                row -= row_dm / diameter  # a row at a time: no (B, N) temporary
-            kse_sum += float(np.square(terms, out=terms).sum())
-        if c:
-            np.sqrt(d2, out=terms)
-            terms *= dm
-            for i, row in enumerate(terms, start):
-                row[i:] = 0.0  # each unordered pair counted once
-            c_sum += float(terms.sum())
         if k is not None:
             cut, size, closer = _map_ranks(unit_rows, per_unit, k, diameter)
-            false_pen, missed_pen = _np_trust_penalties(d2, dm, terms, start, k, unit_of, cut, closer)
-            trust_terms[rows] = (k / size[unit_of]) * false_pen.astype(float)
-            np_terms[rows] = (size[unit_of] / k) * missed_pen.astype(float)
-        del d2, dm  # freed before the next block's distances
+
+        def leaf(lo: int, hi: int) -> np.ndarray:
+            """(KSE, C) sums of the block's terms with flat pair index lo..hi-1, pair (i, j) at i * N + j."""
+            first, last = lo // n, (hi - 1) // n + 1
+            d2 = squared_distances(x[first:last], x, out=distances[:last - first])
+            terms = scratch[:last - first]
+            unit_of = block_unit_of[first - start:last - start]
+            dm = unit_rows[unit_of].take(bmus, axis=1)
+            part = slice(lo - first * n, hi - first * n)
+            sums = np.zeros(2)
+            if kse:
+                np.divide(d2, max_d2, out=terms)
+                for row, row_dm in zip(terms, dm):
+                    row -= row_dm / diameter  # a row at a time: no (rows, N) temporary
+                sums[0] = np.square(terms, out=terms).ravel()[part].sum()
+            if c:
+                np.sqrt(d2, out=terms)
+                terms *= dm
+                for i, row in enumerate(terms, first):
+                    row[i:] = 0.0  # each unordered pair counted once
+                sums[1] = terms.ravel()[part].sum()
+            begin, end = -(-lo // n), -(-hi // n)  # the rows that start in this leaf
+            if k is not None and begin < end:
+                own = slice(begin - first, end - first)
+                of = unit_of[own]
+                false_pen, missed_pen = _np_trust_penalties(d2[own], dm[own], terms[own], begin, k, of, cut, closer)
+                trust_terms[begin:end] = (k / size[of]) * false_pen.astype(float)
+                np_terms[begin:end] = (size[of] / k) * missed_pen.astype(float)
+            return sums
+
+        block_kse, block_c = _pairwise_tree(leaf, start * n, stop * n, limit)
+        kse_sum += float(block_kse)
+        c_sum += float(block_c)
 
     np_trust = None
     if k is not None:
@@ -224,8 +251,9 @@ def _max_squared_distance(x: np.ndarray) -> float:
     sample i is farther apart than r_i + max r. A sample whose squared bound,
     plus a rounding slack, stays below the exact largest distance from the
     farthest sample cannot end the farthest pair; the exact distances among
-    the other samples give the maximum. The kernel's per-element bits do not
-    depend on the block, so the maximum is the full scan's.
+    the other samples give the maximum, a pair scan leaf's worth of rows at a
+    time in one reused buffer. The kernel's per-element bits do not depend on
+    the rows computed together, so the maximum is the full scan's.
     """
     d = x.shape[1]
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
@@ -243,7 +271,11 @@ def _max_squared_distance(x: np.ndarray) -> float:
                                  + 8.0 * reach * np.sqrt(d * tiny))
     lower = squared_distances(x[[np.argmax(radii)]], x).max()
     kept = x[~(bound < lower)]
-    return float(max(squared_distances(kept[s:s + _BLOCK], kept).max() for s in range(0, len(kept), _BLOCK)))
+    m = len(kept)
+    rows = min(m, max(1, _leaf_terms(m) // m))
+    out = np.empty((rows, m))
+    return float(max(squared_distances(kept[s:s + rows], kept, out=out[:min(rows, m - s)]).max()
+                     for s in range(0, m, rows)))
 
 
 def _map_ranks(unit_rows: np.ndarray, per_unit: np.ndarray, k: int,
@@ -272,9 +304,9 @@ def _map_ranks(unit_rows: np.ndarray, per_unit: np.ndarray, k: int,
 
 def _np_trust_penalties(d2: np.ndarray, dm: np.ndarray, ranked: np.ndarray, start: int, k: int,
                         unit_of: np.ndarray, cut: np.ndarray, closer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a block: (trustworthiness, neighborhood preservation) rank penalties.
+    """Per row of a leaf: (trustworthiness, neighborhood preservation) rank penalties.
 
-    ``d2`` and ``dm`` are the block's (B, N) squared input and map distances,
+    ``d2`` and ``dm`` are the leaf's (B, N) squared input and map distances,
     rows ``start..start+B-1``; row i's BMU is unit ``unit_of[i]`` of the
     ``cut`` and ``closer`` map ranks of ``_map_ranks``. Overwrites each row's
     own entry of ``d2`` with inf, and ``ranked``, a (B, N) float64 scratch,

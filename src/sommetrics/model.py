@@ -163,6 +163,25 @@ _SLICE = 4_096  # the trainer's indices drawn and turned into Python ints at a t
 _BLOCK = 256  # rows per block of every scan (projection, pair scans, distortion, topographic product)
 
 
+def _pairwise_tree(leaf, lo: int, hi: int, limit: int):
+    """``leaf(lo, hi)``'s sum of terms ``lo..hi-1``, split and added in numpy's pairwise order.
+
+    numpy sums a contiguous float64 run of n > 128 terms as the sum of its
+    first half and then its second, the half being n/2 rounded down to a
+    multiple of 8. This applies that split to every run longer than
+    ``limit`` and adds the halves' sums in place, so with ``limit`` >= 128
+    and ``leaf(i, j)`` returning ``a[i:j].sum()``, the result has the bits of
+    ``a[lo:hi].sum()``. ``leaf`` may return an array of several such sums.
+    """
+    n = hi - lo
+    if n <= limit:
+        return leaf(lo, hi)
+    half = n // 2 - n // 2 % 8
+    total = _pairwise_tree(leaf, lo, lo + half, limit)
+    total += _pairwise_tree(leaf, lo + half, hi, limit)
+    return total
+
+
 def _pairwise_sum(terms, lo: int, hi: int) -> np.ndarray:
     """Sum of coordinate terms ``lo..hi-1``, added in the order of numpy's pairwise summation.
 
@@ -182,10 +201,7 @@ def _pairwise_sum(terms, lo: int, hi: int) -> np.ndarray:
     """
     n = hi - lo
     if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(terms, lo, lo + half)
-        total += _pairwise_sum(terms, lo + half, hi)
-        return total
+        return _pairwise_tree(lambda i, j: _pairwise_sum(terms, i, j), lo, hi, 128)
     if n < 8:
         slab = terms(lo, hi)
         total, rest = slab[0], slab[1:]
@@ -212,7 +228,7 @@ def _squared(diff: np.ndarray) -> np.ndarray:
     return np.multiply(diff, diff, out=diff)
 
 
-def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+def squared_distances(x: np.ndarray, prototypes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact squared euclidean distances, rows of ``x`` against all prototypes.
 
     Computed from explicit differences (not the expanded dot-product form) so
@@ -221,10 +237,13 @@ def squared_distances(x: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     of at most ``_CHUNK // min(D, 8)`` output elements. Raises ``ValueError``
     when a distance overflows float64 (|values| above about 1e154), because an
     infinite distance would make ties and ratios meaningless. The chunk loop
-    runs under ``_small_ufunc_buffer``.
+    runs under ``_small_ufunc_buffer``. ``out``, a (len(x), len(prototypes))
+    float64 array, receives the distances instead of a new array, so that a
+    scan can reuse one buffer for all its rows.
     """
     n, m, d = len(x), len(prototypes), x.shape[1]
-    out = np.empty((n, m))
+    if out is None:
+        out = np.empty((n, m))
     size = max(1, _CHUNK // min(d, 8))  # output elements per chunk: one slab holds at most _CHUNK
     cols = max(1, min(m, size))
     rows = size // cols

@@ -33,7 +33,7 @@ from sommetrics import (
 from sommetrics import internal
 from sommetrics.grid import _offset_tables, _pair_distances
 from sommetrics.internal import _map_path_costs
-from sommetrics.model import _SCOPE, bmu_distances, squared_distances
+from sommetrics.model import _SCOPE, _pairwise_tree, bmu_distances, squared_distances
 from sommetrics.report import _computations
 
 from oracles import (min_path_cost_exhaustive, topographic_function_bruteforce, topographic_product_bruteforce,
@@ -550,6 +550,90 @@ def test_pruned_kse_maximum_equals_the_full_scan(seed, n, d, shape):
         far = np.argsort(np.linalg.norm(x - x.mean(axis=0), axis=1))[-2:]
         x = np.vstack([x, x[far], x[far]])
     assert internal._max_squared_distance(x) == squared_distances(x, x).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 150_000), limit=st.integers(128, 70_000))
+@example(seed=0, n=768_000, limit=2**16)  # a 256 x 3000 block in 48,000-term leaves
+@example(seed=1, n=129, limit=128)
+def test_pairwise_tree_adds_as_numpy_sums(seed, n, limit):
+    # numpy sums a contiguous float64 array as one pairwise tree: split at
+    # half the length rounded down to a multiple of 8, down to 128 terms;
+    # leaf sums added along that tree give the same bits at any limit >= 128
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n) * 2.0 ** rng.integers(-300, 300, size=n)
+    assert _pairwise_tree(lambda i, j: a[i:j].sum(), 0, n, limit) == a.sum()
+
+
+def test_squared_distances_fills_a_given_buffer():
+    rng = np.random.default_rng(3)
+    x, p = rng.normal(size=(7, 3)), rng.normal(size=(11, 3))
+    buffer = np.empty((9, 11))
+    out = squared_distances(x, p, out=buffer[:7])
+    assert out.base is buffer
+    assert np.array_equal(out, squared_distances(x, p))
+
+
+def _pair_sums_by_block(cb, data):
+    # the KSE and C sums as whole (256, N) blocks of terms, each one .sum()
+    x, n = data.samples, data.n_samples
+    bmus = project(cb, data, depth=1).bmu
+    d2 = squared_distances(x, x)
+    dm = _pair_distances(cb.grid, bmus[:, None], bmus)
+    kse_terms = (d2 / d2.max() - dm / cb.grid.max_distance()) ** 2
+    c_terms = np.tril(np.sqrt(d2) * dm, -1)
+    kse = c = 0.0
+    for s in range(0, n, 256):
+        kse += float(kse_terms[s:s + 256].sum())
+        c += float(c_terms[s:s + 256].sum())
+    return kse / (n * (n - 1)), c
+
+
+@pytest.mark.parametrize("kind", ["tied", "random"])
+def test_pair_scan_bits_do_not_depend_on_the_leaf_size(monkeypatch, kind):
+    # N = 517: not a multiple of 8, and a last block of 5 rows; leaves of 128,
+    # 1000 and 7777 terms cut rows, the default holds whole rows of full blocks
+    rng = np.random.default_rng(17)
+    if kind == "tied":  # integer lattices: exact ties in both spaces
+        grid = MapGrid(4, 5, "hexagonal")
+        cb = CodeBook(rng.integers(0, 4, size=(grid.n_units, 3)).astype(float), grid)
+        data = Dataset(rng.integers(0, 4, size=(517, 3)).astype(float))
+    else:
+        grid = MapGrid(5, 4)
+        cb = CodeBook(rng.normal(size=(grid.n_units, 2)), grid)
+        data = Dataset(rng.normal(size=(517, 2)))
+    plans = [(5, False, False), (None, True, False), (None, False, True), (5, True, True)]
+    default = [internal._pair_scan(cb, data, *plan) for plan in plans]
+    kse, c = _pair_sums_by_block(cb, data)
+    assert (default[1].kse, default[2].c) == (kse, c)
+    assert default[3] == (default[0].np_trust, kse, c)
+    for limit in (128, 1000, 7777):
+        monkeypatch.setattr(internal, "_leaf_terms", lambda n: limit)
+        assert [internal._pair_scan(cb, data, *plan) for plan in plans] == default, limit
+
+
+@pytest.mark.parametrize("consumers", ["fused", "kse_on_a_sphere"])
+def test_pair_scan_memory_is_a_few_leaf_rows(consumers):
+    # leaves of 16 rows at most at N = 3000 (2**16 terms), in two buffers of
+    # 23 x N float64 (0.5 MiB each) reused for the whole scan; the KSE's
+    # exact maximum, which keeps every sample on a sphere, reuses one such
+    # buffer. One 256 x N float64 block is 5.9 MiB.
+    rng = np.random.default_rng(6)
+    cb = CodeBook(rng.normal(size=(100, 3)), MapGrid(10, 10))
+    if consumers == "fused":
+        data = Dataset(rng.normal(size=(3000, 3)))
+    else:
+        x = rng.normal(size=(3000, 3))
+        data = Dataset(x / np.linalg.norm(x, axis=1, keepdims=True))
+
+    def fused(data):
+        with _computations(cb, data, PAIR_METRICS, 10):
+            return _pair_values(cb, data, 10)
+
+    call = fused if consumers == "fused" else lambda data: kruskal_shepard_error(cb, data)
+    call(Dataset(data.samples[:30]))  # imports and grid caches, not counted
+    peak = _traced_peak(call, data)
+    assert peak < (4 if consumers == "fused" else 3) * 2**20, peak / 2**20
 
 
 def test_trust_k_range_validated():
