@@ -614,10 +614,10 @@ def test_pair_scan_bits_do_not_depend_on_the_leaf_size(monkeypatch, kind):
 
 @pytest.mark.parametrize("consumers", ["fused", "kse_on_a_sphere"])
 def test_pair_scan_memory_is_a_few_leaf_rows(consumers):
-    # leaves of 16 rows at most at N = 3000 (2**16 terms), in two buffers of
-    # 23 x N float64 (0.5 MiB each) reused for the whole scan; the KSE's
-    # exact maximum, which keeps every sample on a sphere, reuses one such
-    # buffer. One 256 x N float64 block is 5.9 MiB.
+    # at N = 3000 a leaf holds at most 2**16 terms (16 rows of a full block),
+    # and two 23 x N float64 buffers (0.5 MiB each) serve the whole scan; the
+    # KSE's exact maximum, which keeps every sample on a sphere, reuses one
+    # buffer of 21 rows. One 256 x N float64 block is 5.9 MiB.
     rng = np.random.default_rng(6)
     cb = CodeBook(rng.normal(size=(100, 3)), MapGrid(10, 10))
     if consumers == "fused":
