@@ -5,11 +5,12 @@ codebook and its map lattice, plus the reference stochastic trainer used to
 build evaluation fixtures.
 
 Importing the package loads nothing: each public name, and each submodule
-(``sommetrics.model``), is imported on first use (PEP 562), so the CLI can
-set its environment before numpy loads.
+(``sommetrics.model``), is imported on first use (PEP 562), so the CLI's
+entry points can set its environment before numpy loads.
 """
 
 import importlib
+import os
 
 __version__ = "0.1.0"
 
@@ -35,6 +36,12 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
+
+
+def _console_main():
+    """The ``sommetrics`` console script: the CLI with one BLAS thread unless the caller set a number."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    importlib.import_module(".cli", __name__).main()
 
 
 __all__ = [*_MODULE_OF, "__version__"]

@@ -9,9 +9,10 @@ from __future__ import annotations
 import os
 
 # The only BLAS call is projection's small screening product, and idle OpenBLAS
-# workers cost each short run CPU time: one BLAS thread unless the caller set
-# a number. This runs before numpy loads, as the package's __init__ loads nothing.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# workers cost each short run CPU time: a CLI run gets one BLAS thread unless
+# the caller set a number, before numpy loads; importing this module sets nothing.
+if __name__ == "__main__":  # python -m sommetrics.cli; the console script runs sommetrics._console_main
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import sys
 from pathlib import Path

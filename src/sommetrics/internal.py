@@ -179,7 +179,7 @@ def _pair_scan(codebook: CodeBook, data: Dataset, k: int | None, kse: bool, c: b
     constants, so summation order and output bits never depend on the
     machine, and the leaf size changes none.
     """
-    x = data.samples
+    x = np.asfortranarray(data.samples)  # column-major: each leaf's squared_distances reads x.T without a copy
     n = len(x)
     bmus = project(codebook, data, depth=1).bmu
     if kse:
@@ -270,7 +270,7 @@ def _max_squared_distance(x: np.ndarray) -> float:
         bound = reach * reach + ((d + 4) * (eps * (2.0 * reach) ** 2 + 8.0 * tiny)
                                  + 8.0 * reach * np.sqrt(d * tiny))
     lower = squared_distances(x[[np.argmax(radii)]], x).max()
-    kept = x[~(bound < lower)]
+    kept = np.asfortranarray(x[~(bound < lower)])  # column-major, as in the pair scan
     m = len(kept)
     rows = min(m, max(1, _leaf_terms(m) // m))
     out = np.empty((rows, m))

@@ -159,7 +159,6 @@ def _small_ufunc_buffer():
 # many are live); a constant, so bits never depend on the machine.
 _CHUNK = 65_536
 _TABLE = 8_192  # entries per weight table of the trainer
-_SLICE = 4_096  # the trainer's indices drawn and turned into Python ints at a time
 _BLOCK = 256  # rows per block of every scan (projection, pair scans, distortion, topographic product)
 
 
@@ -487,16 +486,6 @@ class TrainerConfig:
         return MapGrid(self.rows, self.cols, self.topology)
 
 
-def _draws(rng: np.random.Generator, n: int, count: int):
-    """``count`` sample indices below ``n`` as Python ints: the stream of one draw per step.
-
-    They are drawn and turned into ints ``_SLICE`` at a time; ``Generator.integers``
-    gives the same stream however the draws are split.
-    """
-    for start in range(0, count, _SLICE):
-        yield from rng.integers(n, size=min(_SLICE, count - start)).tolist()
-
-
 def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     """Run the stochastic training loop and return the trained codebook.
 
@@ -509,11 +498,13 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     summed in the order of ``squared_distances``. Deterministic given the seed.
 
     The learning rate times the kernel weight of each map distance
-    0..diameter is tabulated for a block of steps at once, at most ``_TABLE``
-    entries and at least one step per table; each step reads its row at every
-    unit's distance from the BMU, a window of the grid's offset tables. The
-    squared differences go to one reused D x K buffer. Each table's steps run
-    under ``_small_ufunc_buffer``; the table itself is made outside it.
+    0..diameter is tabulated, and the sample indices drawn, for a block of
+    steps at once: at most ``_TABLE`` entries and at least one step per table
+    (``Generator.integers`` gives one stream however the draws are split).
+    Each step reads its row at every unit's distance from the BMU, a window of
+    the grid's offset tables. The squared differences go to one reused D x K
+    buffer. Each table's steps run under ``_small_ufunc_buffer``; the table
+    itself is made outside it.
     """
     grid = config.grid
     rng = np.random.default_rng(config.seed)
@@ -532,13 +523,12 @@ def train_som(data: Dataset, config: TrainerConfig) -> CodeBook:
     ratio = config.t_min / config.t_max
     iters = config.iterations
     per_table = max(1, _TABLE // len(span))
-    draws = _draws(rng, n, iters)
     with _overflow_is_an_error():
         for first in range(1, iters + 1, per_table):
             anneal = np.array([ratio ** (step / iters) for step in range(first, min(first + per_table, iters + 1))])
             table = (config.alpha * anneal)[:, None] * config.kernel.weight(span, config.t_max * anneal[:, None])
             with _small_ufunc_buffer():
-                for rates, i in zip(table, draws):  # zip asks the table first: no draw is lost at its end
+                for rates, i in zip(table, rng.integers(n, size=len(table)).tolist()):
                     np.subtract(x[i, :, None], pt, out=diff)
                     np.square(diff, out=sq)
                     b = int(_pairwise_sum(squares, 0, d).argmin())

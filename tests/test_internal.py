@@ -549,7 +549,8 @@ def test_pruned_kse_maximum_equals_the_full_scan(seed, n, d, shape):
     elif shape == "duplicated":  # the two samples farthest from the mean, twice more each
         far = np.argsort(np.linalg.norm(x - x.mean(axis=0), axis=1))[-2:]
         x = np.vstack([x, x[far], x[far]])
-    assert internal._max_squared_distance(x) == squared_distances(x, x).max()
+    for samples in (x, np.asfortranarray(x)):  # the pair scan passes column-major samples
+        assert internal._max_squared_distance(samples) == squared_distances(x, x).max()
 
 
 @settings(max_examples=60, deadline=None)

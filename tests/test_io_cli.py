@@ -1350,32 +1350,52 @@ def test_lazy_package_reaches_every_module():
     assert sorted(sm._SUBMODULES) == sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
 
 
-def _child_blas_threads(blas_threads):
-    """(OPENBLAS_NUM_THREADS, thread count or None) after ``import sommetrics.cli`` in a fresh interpreter.
+# the two CLI entry points, each run with --help, and a plain import of the CLI module
+_BLAS_ENTRIES = {
+    "module": 'runpy.run_module("sommetrics.cli", run_name="__main__")',
+    "console script": "sommetrics._console_main()",
+    "import": "import sommetrics.cli",
+}
+
+
+def _child_blas_threads(entry, blas_threads):
+    """(OPENBLAS_NUM_THREADS, thread count or None) after ``_BLAS_ENTRIES[entry]`` in a fresh interpreter.
 
     The count is None off Linux and when numpy's BLAS is not OpenBLAS.
     """
-    code = """
-import json, os, sys
-import sommetrics.cli
+    code = f"""
+import json, os, runpy, sys
+import sommetrics
+sys.argv = ["sommetrics", "--help"]
+try:
+    {_BLAS_ENTRIES[entry]}
+except SystemExit as stop:
+    assert not stop.code, stop.code
 openblas = sys.platform == "linux" and "openblas" in open("/proc/self/maps").read().lower()
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")) if openblas else None]))
 """
-    return json.loads(_fresh_python(["-c", code], blas_threads))
+    return json.loads(_fresh_python(["-c", code], blas_threads).splitlines()[-1])
 
 
 def test_cli_blas_threads_default_to_one():
-    value, threads = _child_blas_threads(None)
-    assert value == "1"
-    assert threads in (None, 1)
+    for entry in ("module", "console script"):
+        value, threads = _child_blas_threads(entry, None)
+        assert value == "1", entry
+        assert threads in (None, 1), entry
 
 
 def test_cli_blas_threads_keep_the_callers_setting():
-    value, threads = _child_blas_threads("2")
-    assert value == "2"
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if threads is not None and cpus >= 2:
-        assert threads > 1
+    for entry in ("module", "console script"):
+        value, threads = _child_blas_threads(entry, "2")
+        assert value == "2", entry
+        if threads is not None and cpus >= 2:
+            assert threads > 1, entry
+
+
+def test_cli_import_leaves_blas_threads_as_the_caller_set_them():
+    for blas_threads in (None, "2"):
+        assert _child_blas_threads("import", blas_threads)[0] == blas_threads
 
 
 def test_cli_evaluate_report_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -179,21 +179,27 @@ def test_project_rejects_float64_overflow(far):
     shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
     chunk=st.sampled_from([1, 7, 40, None]),
     seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from(["C", "F", "F rows"]),
 )
-def test_distance_kernel_matches_numpy_sum(d, shape, chunk, seed):
+def test_distance_kernel_matches_numpy_sum(d, shape, chunk, seed, order):
     # the kernel replays numpy's pairwise summation order column by column; a
-    # numpy whose reduction order differs must fail here, not shift metrics
+    # numpy whose reduction order differs must fail here, not shift metrics.
+    # The bits do not depend on the operands' memory order: "F rows" is a row
+    # slice of column-major samples, as the pair scan's leaves pass them
     rng = np.random.default_rng(seed)
     b, n = shape
     a = rng.normal(size=(b, d)) * rng.uniform(0.0, 10.0, size=d)
     p = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
     rows, units = rng.integers(0, b, size=3 * b), rng.integers(0, n, size=3 * b)
+    full, paired = ((a[:, None, :] - p[None, :, :]) ** 2).sum(-1), ((a[rows] - p[units]) ** 2).sum(-1)
+    if order != "C":
+        a = np.asfortranarray(np.vstack([a, a]))[b:] if order == "F rows" else np.asfortranarray(a)
+        p = np.asfortranarray(p)
     with pytest.MonkeyPatch.context() as mp:
         if chunk:  # small budgets cross chunk boundaries
             mp.setattr(model, "_CHUNK", chunk)
-        assert np.array_equal(model.squared_distances(a, p), ((a[:, None, :] - p[None, :, :]) ** 2).sum(-1))
-        assert np.array_equal(model._paired_squared_distances(a, rows, p, units),
-                              ((a[rows] - p[units]) ** 2).sum(-1))
+        assert np.array_equal(model.squared_distances(a, p), full)
+        assert np.array_equal(model._paired_squared_distances(a, rows, p, units), paired)
 
 
 @settings(max_examples=60, deadline=None)
@@ -617,13 +623,12 @@ def test_train_window_kernel_bmu_step_contracts():
 @pytest.mark.parametrize("d, chunk", [(1, None), (2, None), (3, None), (9, 7), (5, 47), (16, None), (50, None),
                                       (250, None)])
 def test_train_matches_reference_loop(d, chunk, topology, kernel):
-    # the slab-sum BMU, the per-block weight tables and the sliced draws
-    # change no bit of the trained codebook; N = 1 and N < K resample the
-    # initial rows. A table cap of 7 leaves one step per weight table (the
+    # the slab-sum BMU and the per-block weight tables, each with its own
+    # draws, change no bit of the trained codebook; N = 1 and N < K resample
+    # the initial rows. A table cap of 7 leaves one step per weight table (the
     # 1x20 chain's 20 distances exceed it); 47 gives tables of 7, 9 and 2
-    # steps (3x4 rectangular, 3x4 hexagonal, chain). Indices are drawn 5 at a
-    # time, which divides neither 7 nor 9, so tables and draws split at
-    # different steps. The chain's diameter, 19, is large relative to K.
+    # steps (3x4 rectangular, 3x4 hexagonal, chain), so the draws split there.
+    # The chain's diameter, 19, is large relative to K.
     rng = np.random.default_rng(d)
     cases = [(rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d), 4.0, n) for n in (1, 5, 40)]
     # every cyclic shift of v lies at the same exact distance from the
@@ -643,7 +648,6 @@ def test_train_matches_reference_loop(d, chunk, topology, kernel):
         with pytest.MonkeyPatch.context() as mp:
             if chunk:
                 mp.setattr(model, "_TABLE", chunk)
-                mp.setattr(model, "_SLICE", 5)
             trained = train_som(data, config)
         assert trained.prototypes.tobytes() == train_som_reference(data, config).tobytes()
 
@@ -798,8 +802,8 @@ def test_trainer_config_checks_t_min_without_the_distance_matrix():
 
 def test_train_som_memory_is_bounded():
     # 70,000 steps: one 65,536-element list of Python ints would be 2.5 MiB,
-    # and weight tables of 65,536 entries 0.5 MiB each. Indices drawn and made
-    # ints 4,096 at a time and tables of 8,192 entries hold ~1 MiB.
+    # and weight tables of 65,536 entries 0.5 MiB each. Tables of at most
+    # 8,192 entries, each with its indices drawn and made ints, hold ~1 MiB.
     data = Dataset(np.random.default_rng(0).normal(size=(1000, 2)))
     config = TrainerConfig(30, 30, "hexagonal", iterations=70_000, seed=0)
     tracemalloc.start()
