@@ -3,14 +3,17 @@
 
 Trains one 10x10 map on the unit square, then swaps a growing fraction of
 prototype pairs and prints how each organization index responds. Useful for
-eyeballing index sensitivity; writes CSV to stdout.
+eyeballing index sensitivity; writes CSV to stdout. A metric that fails on
+the inputs (say with --samples 1) prints its {'error': ...} entry.
 """
 import argparse
+import csv
+import sys
 
 import numpy as np
 
-from sommetrics import Dataset, TrainerConfig, train_som
-from sommetrics.demos import _ORGANIZATION_METRICS, _score_map, _swap_units
+from sommetrics import Dataset, TrainerConfig, evaluate_map, train_som
+from sommetrics.demos import _ORGANIZATION_METRICS, _swap_units
 
 
 def main() -> None:
@@ -25,10 +28,11 @@ def main() -> None:
     data = Dataset(rng.random((args.samples, 2)))
     trained = train_som(data, TrainerConfig(10, 10, seed=args.seed))
 
-    print(",".join(["swap_fraction", *_ORGANIZATION_METRICS]))
+    out = csv.writer(sys.stdout, lineterminator="\n")  # quotes an error entry, whose message may hold a comma
+    out.writerow(["swap_fraction", *_ORGANIZATION_METRICS])
     for fraction in (float(f) for f in args.fractions.split(",")):
         cb = _swap_units(trained, fraction, np.random.default_rng(args.seed + 1))
-        print(",".join([str(fraction), *map(repr, _score_map(cb, data, _ORGANIZATION_METRICS).values())]))
+        out.writerow([fraction, *map(repr, evaluate_map(cb, data, _ORGANIZATION_METRICS).values())])
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from .figures import render_map_svg
 from .grid import MapGrid
 from .internal import topographic_function
 from .model import CodeBook, Dataset, TrainerConfig, train_som
-from .report import _computations
+from .report import evaluate_map
 
 # Fraction of unit pairs whose prototypes get swapped for the medium map.
 _MEDIUM_SWAP_FRACTION = 0.25
@@ -47,19 +47,13 @@ _ORGANIZATION_METRICS = ("topographic_error", "combined_error", "kruskal_shepard
 _STRIPE_METRICS = ("quantization_error", "topographic_error", "combined_error")
 
 
-def _score_map(codebook: CodeBook, data: Dataset, metrics) -> dict[str, float]:
-    """Every registry metric named in ``metrics`` on one map, in order, computed as ``evaluate`` does."""
-    with _computations(codebook, data, metrics) as computations:
-        return {name: compute() for name, compute in computations.items()}
-
-
 def _score_maps(outdir: Path, prefix: str, first_column: str, maps: dict[str, CodeBook],
                 data: Dataset, metrics) -> dict:
     """Score and draw each map in order, then tabulate the scores as ``<prefix>_metrics.csv``."""
     scores: dict[str, dict[str, float]] = {}
     files = []
     for name, codebook in maps.items():
-        scores[name] = _score_map(codebook, data, metrics)
+        scores[name] = evaluate_map(codebook, data, metrics)
         svg_path = outdir / f"{prefix}_{name}.svg"
         svg_path.write_text(render_map_svg(codebook, data))
         files.append(svg_path)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,6 +31,8 @@ class MapGrid:
     topology: str = "rectangular"
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.rows, Integral) and isinstance(self.cols, Integral)):
+            raise ValueError(f"grid dimensions must be integers, got {self.rows!r}x{self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")
         if self.topology not in TOPOLOGIES:

@@ -6,13 +6,14 @@ breaks toward the lowest unit or sample index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .grid import GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _pair_distances, adjacency_pairs
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
-from .model import (_BLOCK, CodeBook, Dataset, _distortion_pass, _evaluation, _overflow_is_an_error,
+from .model import (_BLOCK, _SCOPE, CodeBook, Dataset, _distortion_pass, _overflow_is_an_error,
                     _paired_squared_distances, _pairwise_tree, bmu_distances, project, squared_distances)
 
 
@@ -28,12 +29,12 @@ def distortion(codebook: CodeBook, data: Dataset, temperature: float,
 
     The loss minimized by SOM training: every unit contributes for every
     sample, weighted by the kernel applied to its map distance from the BMU.
-    Within an evaluation that asks for it at these parameters, the total comes
-    from the pass that also makes the evaluation's projection; that pass runs
-    once, and its result or error is kept (``_Evaluation.once``).
+    Within an evaluation, the total comes from the pass that also makes the
+    evaluation's projection; that pass runs once, and its result or error is
+    kept (``_Evaluation.once``).
     """
-    evaluation = _evaluation(codebook, data)
-    if evaluation is None or (temperature, kernel) != (evaluation.temperature, evaluation.kernel):
+    evaluation = _SCOPE.get()
+    if evaluation is None:
         return float(_distortion_pass(codebook, data, temperature, kernel)[0]) / data.n_samples
     total = evaluation.once("distortion", lambda: _distortion_pass(codebook, data, temperature, kernel))[0]
     return float(total) / data.n_samples
@@ -120,6 +121,8 @@ def _check_samples(data: Dataset, least: int) -> None:
 
 def _check_order(data: Dataset, k: int) -> None:
     """Trustworthiness' and neighborhood preservation's checks, in order."""
+    if not isinstance(k, Integral):
+        raise ValueError(f"neighborhood order k must be an integer, got {k!r}")
     _check_samples(data, 3)
     n = data.n_samples
     if not 1 <= k < n / 2:
@@ -143,13 +146,12 @@ class _PairSums(NamedTuple):
 def _pair_sums(codebook: CodeBook, data: Dataset, own: tuple[int | None, bool, bool]) -> _PairSums:
     """The scan for the consumers ``own`` = (trust/NP order, KSE, C), which the caller has checked.
 
-    Inside an evaluation whose pair plan holds them, the one scan of the plan
-    serves them; it runs once, and its result or error is kept. Other
-    consumers are scanned on their own.
+    Inside an evaluation, whose pair plan holds them, the one scan of the plan
+    serves them; it runs once, and its result or error is kept.
     """
-    evaluation = _evaluation(codebook, data)
-    if evaluation is None or any(mine and mine != plan for mine, plan in zip(own, evaluation.pair_plan)):
-        return _pair_scan(codebook, data, *own)  # not in the plan: scanned alone, not kept
+    evaluation = _SCOPE.get()
+    if evaluation is None:
+        return _pair_scan(codebook, data, *own)
     return evaluation.once("pairs", lambda: _pair_scan(codebook, data, *evaluation.pair_plan))
 
 

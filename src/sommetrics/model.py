@@ -278,7 +278,7 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
 
 @dataclass
 class _Evaluation:
-    """The running evaluation: operands, parameters, the plan made by ``report._computations``, kept results."""
+    """The running evaluation: operands, parameters, the plan made by ``report.evaluate_map``, kept results."""
 
     codebook: CodeBook
     data: Dataset
@@ -304,15 +304,7 @@ class _Evaluation:
         return kept
 
 
-_SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics_evaluation", default=None)
-
-
-def _evaluation(codebook: CodeBook, data: Dataset) -> _Evaluation | None:
-    """The running evaluation when it is over these very objects, else None."""
-    evaluation = _SCOPE.get()
-    if evaluation is None or evaluation.codebook is not codebook or evaluation.data is not data:
-        return None
-    return evaluation
+_SCOPE: ContextVar[_Evaluation | None] = ContextVar("sommetrics.evaluation", default=None)
 
 
 def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionIndex:
@@ -326,21 +318,21 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     The bound holds for any summation order and with fused multiply-add, so
     neither the BLAS library nor its thread count can change the ranks.
 
-    Within an evaluation (``report._computations``), a call at depth 1 or 2
-    reads the leading columns of one read-only ranking of depth ``min(2, K)``,
-    made once (``_Evaluation.once``, which keeps an error too): the ranking is
-    exact, so they are the ranks a shallower call would compute. A deeper
-    call ranks on its own, and its ranks are not kept. When the evaluation
-    asks for distortion, the ranking comes from distortion's exact pass
-    (``_distortion_pass``), kept whole for distortion; if that pass raises,
-    the ranking is made as outside an evaluation.
+    Within an evaluation (``report.evaluate_map``), whose metrics ask for
+    depth 1 or 2, a call reads the leading columns of one read-only ranking
+    of depth ``min(2, K)``, made once (``_Evaluation.once``, which keeps an
+    error too): the ranking is exact, so they are the ranks a shallower call
+    would compute. When the evaluation asks for distortion, the ranking comes
+    from distortion's exact pass (``_distortion_pass``), kept whole for
+    distortion; if that pass raises, the ranking is made as outside an
+    evaluation.
     """
     _check_dims(codebook, data)
     K = codebook.n_units
     if not 1 <= depth <= K:
         raise ValueError(f"depth must be in 1..{K}, got {depth}")
-    evaluation = _evaluation(codebook, data)
-    if evaluation is None or depth > 2:
+    evaluation = _SCOPE.get()
+    if evaluation is None:
         return ProjectionIndex(_rank_units(codebook, data, depth))
 
     def ranks():

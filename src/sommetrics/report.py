@@ -4,9 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -187,30 +185,42 @@ def _passes(check, *args) -> bool:
     return True
 
 
-@contextmanager
-def _computations(codebook: CodeBook, data: Dataset, metrics, k: int | None = None,
-                  temperature: float | None = None, kernel: str = "gaussian"):
-    """Yields ``{name: compute}`` for each distinct name of ``metrics``, in order of first occurrence.
+def evaluate_map(codebook: CodeBook, data: Dataset, metrics, k: int | None = None,
+                 temperature: float | None = None, kernel: str = "gaussian") -> dict[str, Any]:
+    """``{name: value}`` for each distinct registry name of ``metrics``, in order of first occurrence.
 
-    Every ``compute()`` runs in one evaluation over ``codebook`` and ``data``,
-    whose plan is fixed here from the names: one sample-pair scan serves the
-    requested pair metrics whose checks pass, and distortion's exact pass
-    makes the projection when distortion is requested (only then is the
-    temperature kept). The first metric that needs either pays for it. This
-    is the one place that sets ``model._SCOPE``, reset when the block ends.
+    A metric that raises, or gives a non-finite float, gets the entry
+    ``{"error": "<Type>: <message>"}`` without stopping the others; an
+    unknown name raises ``KeyError`` before any metric runs. The metrics run
+    in one evaluation over ``codebook`` and ``data``, whose plan is fixed
+    here from the names: one sample-pair scan serves the requested pair
+    metrics whose checks pass, and distortion's exact pass makes the
+    projection when distortion is requested (only then is the temperature
+    kept). The first metric that needs either pays for it. This is the one
+    place that sets ``model._SCOPE``, reset when the metrics end.
     """
     names = dict.fromkeys(metrics)
-    pair_plan = (k if k is not None and names.keys() & {"trustworthiness", "neighborhood_preservation"}
+    pair_plan = (k if names.keys() & {"trustworthiness", "neighborhood_preservation"}
                  and _passes(_check_order, data, k) else None,
                  "kruskal_shepard_error" in names and _passes(_check_kse, codebook, data),
                  "c_measure" in names and _passes(_check_samples, data, 2))
     evaluation = _Evaluation(codebook, data, k, temperature if "distortion" in names else None,
                              NeighborhoodKernel(kernel), pair_plan)
+    computes = {name: REGISTRY[name].compute for name in names}
+    results: dict[str, Any] = {}
     token = _SCOPE.set(evaluation)
     try:
-        yield {name: partial(REGISTRY[name].compute, evaluation) for name in names}
+        for name, compute in computes.items():
+            try:
+                value = compute(evaluation)
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise ValueError(f"non-finite result {value!r}")
+                results[name] = value
+            except Exception as exc:  # one bad metric must not sink the others
+                results[name] = {"error": f"{type(exc).__name__}: {exc}"}
     finally:
         _SCOPE.reset(token)
+    return results
 
 
 def evaluate(config: EvaluationConfig) -> MetricReport:
@@ -236,19 +246,8 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             f"{data.n_samples}x{data.n_features}"
         )
 
-    results: dict[str, Any] = {}
-    failed: list[str] = []
-    with _computations(codebook, data, config.metrics, config.k, config.temperature,
-                       config.kernel) as computations:
-        for name, compute in computations.items():
-            try:
-                value = compute()
-                if isinstance(value, float) and not np.isfinite(value):
-                    raise ValueError(f"non-finite result {value!r}")
-                results[name] = value
-            except Exception as exc:  # one bad metric must not sink the others
-                results[name] = {"error": f"{type(exc).__name__}: {exc}"}
-                failed.append(name)
+    results = evaluate_map(codebook, data, config.metrics, config.k, config.temperature, config.kernel)
+    failed = [name for name, value in results.items() if isinstance(value, dict)]
 
     params = {
         "rows": config.rows,

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sommetrics import GAUSSIAN, WINDOW, MapGrid, NeighborhoodKernel, adjacency_pairs, distance_matrix
+from sommetrics import GAUSSIAN, WINDOW, MapGrid, NeighborhoodKernel, TrainerConfig, adjacency_pairs, distance_matrix
 from sommetrics.grid import _diameter, _distance_rows, _offset_tables, _pair_distances
 
 from oracles import bfs_distances, lattice_distances, lattice_edges
@@ -158,6 +159,16 @@ def test_bad_grid_parameters():
         MapGrid(0, 3)
     with pytest.raises(ValueError):
         MapGrid(3, 3, "toroidal")
+    # a float shape gave a float unit count, which CodeBook accepted and the
+    # trainer and the topographic error refused with a TypeError
+    for rows, cols in ((2.0, 3), (2, 3.5), (np.float64(2.0), 3), ("2", 3)):
+        message = f"grid dimensions must be integers, got {rows!r}x{cols!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MapGrid(rows, cols)
+    with pytest.raises(ValueError, match="must be integers"):
+        TrainerConfig(2.0, 3)
+    for rows, cols in ((np.int64(2), 3), (2, np.int32(3))):
+        assert MapGrid(rows, cols).n_units == 6
 
 
 def test_dimensionality():

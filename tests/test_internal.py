@@ -33,8 +33,8 @@ from sommetrics import (
 from sommetrics import internal
 from sommetrics.grid import _offset_tables, _pair_distances
 from sommetrics.internal import _map_path_costs
-from sommetrics.model import _SCOPE, _pairwise_tree, bmu_distances, squared_distances
-from sommetrics.report import _computations
+from sommetrics.model import _pairwise_tree, bmu_distances, squared_distances
+from sommetrics.report import evaluate_map
 
 from oracles import (min_path_cost_exhaustive, topographic_function_bruteforce, topographic_product_bruteforce,
                      trust_np_bruteforce)
@@ -438,28 +438,10 @@ def test_pair_metrics_do_not_depend_on_block_size(monkeypatch, topology, seed):
     for block in (1, 3, 7):
         monkeypatch.setattr(internal, "_BLOCK", block)
         direct = _pair_values(cb, data, k)
-        with _computations(cb, data, PAIR_METRICS, k):  # one fused scan serves all four
-            assert _pair_values(cb, data, k) == direct
+        assert tuple(evaluate_map(cb, data, PAIR_METRICS, k).values()) == direct  # one fused scan serves all four
         assert direct[:2] == (trust, nbp)
         assert direct[2] == pytest.approx(kse, rel=1e-12)
         assert direct[3] == pytest.approx(cm, rel=1e-12)
-
-
-def test_pair_metric_with_another_k_in_a_scope_is_scanned_alone():
-    # the scope keeps only the planned scan; a trust call with another k
-    # scans on its own and leaves the kept scan as it was
-    cb, data = random_instance(12, n=30)
-    direct = trustworthiness(cb, data, 3)
-    with _computations(cb, data, PAIR_METRICS, 2):
-        evaluation = _SCOPE.get()
-        assert trustworthiness(cb, data, 3) == direct
-        assert evaluation.pairs is None
-        planned = _pair_values(cb, data, 2)
-        kept = evaluation.pairs
-        assert kept is not None
-        assert trustworthiness(cb, data, 3) == direct
-        assert evaluation.pairs is kept
-        assert _pair_values(cb, data, 2) == planned
 
 
 def test_trust_memory_is_bounded_by_the_block(monkeypatch):
@@ -469,11 +451,7 @@ def test_trust_memory_is_bounded_by_the_block(monkeypatch):
     data = Dataset(rng.normal(size=(2000, 2)))
     assert _traced_peak(trustworthiness, cb, data, 10) < 16 * 2**20  # an N x N int64 matrix is 30.5 MiB
 
-    def fused():
-        with _computations(cb, data, PAIR_METRICS, 10):
-            return _pair_values(cb, data, 10)
-
-    assert _traced_peak(fused) < 16 * 2**20
+    assert _traced_peak(evaluate_map, cb, data, PAIR_METRICS, 10) < 16 * 2**20
 
 
 @pytest.mark.parametrize("consumers", ["fused", "kse", "c"])
@@ -486,8 +464,7 @@ def test_pair_scan_memory_is_below_three_block_arrays(consumers):
     data = Dataset(rng.normal(size=(3000, 2)))
 
     def fused(data):
-        with _computations(cb, data, PAIR_METRICS, 10):
-            return _pair_values(cb, data, 10)
+        return evaluate_map(cb, data, PAIR_METRICS, 10)
 
     call = {"fused": fused, "kse": lambda data: kruskal_shepard_error(cb, data),
             "c": lambda data: c_measure(cb, data)}[consumers]
@@ -628,8 +605,7 @@ def test_pair_scan_memory_is_a_few_leaf_rows(consumers):
         data = Dataset(x / np.linalg.norm(x, axis=1, keepdims=True))
 
     def fused(data):
-        with _computations(cb, data, PAIR_METRICS, 10):
-            return _pair_values(cb, data, 10)
+        return evaluate_map(cb, data, PAIR_METRICS, 10)
 
     call = fused if consumers == "fused" else lambda data: kruskal_shepard_error(cb, data)
     call(Dataset(data.samples[:30]))  # imports and grid caches, not counted
@@ -637,12 +613,22 @@ def test_pair_scan_memory_is_a_few_leaf_rows(consumers):
     assert peak < (4 if consumers == "fused" else 3) * 2**20, peak / 2**20
 
 
-def test_trust_k_range_validated():
+def test_trust_k_range_validated(monkeypatch):
     cb, data = random_instance(0, n=10)
     with pytest.raises(ValueError):
         trustworthiness(cb, data, 0)
     with pytest.raises(ValueError):
         trustworthiness(cb, data, 5)  # k must stay below N/2
+    assert trustworthiness(cb, data, np.int64(2)) == trustworthiness(cb, data, 2)
+    # a k that is not an integer is refused before any scan, also in an evaluation
+    monkeypatch.setattr(internal, "_pair_scan", None)
+    for k in (2.5, None):
+        message = f"neighborhood order k must be an integer, got {k!r}"
+        for metric in (trustworthiness, neighborhood_preservation):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                metric(cb, data, k)
+        names = ["trustworthiness", "neighborhood_preservation"]
+        assert evaluate_map(cb, data, names, k) == dict.fromkeys(names, {"error": f"ValueError: {message}"})
 
 
 # ---------------------------------------------------------------------------

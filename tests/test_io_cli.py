@@ -475,24 +475,22 @@ def test_evaluate_all_metrics_equal_direct_calls_on_ties(tmp_path):
     for series in ("k", "tf", "normalized_k", "normalized_tf"):
         assert np.array_equal(getattr(tf, series), getattr(direct, series)), series
 
+    def assert_evaluate_map_agrees(config, report):
+        """evaluate_map, on the matrices loaded from the config's files, gives the report's entries in order."""
+        cb = sm.CodeBook(load_matrix(paths[0]), sm.MapGrid(4, 3))
+        data = sm.Dataset(load_matrix(paths[1]), load_labels(paths[2]))
+        entries = sm.evaluate_map(cb, data, config.metrics, config.k, config.temperature, config.kernel)
+        assert [(name, repr(_jsonable(value))) for name, value in entries.items()] == \
+            [(name, repr(_jsonable(value))) for name, value in report.metrics.items()]
+
+    assert_evaluate_map_agrees(config, report)
+
     # the scope ends with the evaluation, also when a metric raised
     config.metrics, config.k = ("trustworthiness", "quantization_error"), 30
     report = evaluate(config)
     assert report.failed == ["trustworthiness"]
     assert sm.model._SCOPE.get() is None
-    cb, data = fresh()
-    with pytest.raises(RuntimeError):
-        with sm.report._computations(cb, data, ()):
-            raise RuntimeError
-    assert sm.model._SCOPE.get() is None
-
-    # inside a scope, another Dataset object is projected on its own
-    other = sm.Dataset(samples[::-1].copy())
-    alone = sm.project(cb, other).bmu_ranks
-    with sm.report._computations(cb, data, ()):
-        shared = sm.project(cb, data).bmu_ranks
-        assert np.array_equal(sm.project(cb, other).bmu_ranks, alone)
-    assert not np.array_equal(shared, alone)
+    assert_evaluate_map_agrees(config, report)
 
 
 PAIR_METRICS = ("trustworthiness", "neighborhood_preservation", "kruskal_shepard_error", "c_measure")
@@ -1119,7 +1117,7 @@ def test_cli_write_failures_are_one_input_line(runner, fixture_files, tmp_path, 
             return run(*args, **kwargs)
         return call
 
-    for module, name in ((sm.cli, "load_matrix"), (sm.report, "load_matrix"), (sm.report, "_computations"),
+    for module, name in ((sm.cli, "load_matrix"), (sm.report, "load_matrix"), (sm.report, "evaluate_map"),
                          (sm.cli, "train_som")):
         monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     taken = tmp_path / "taken"

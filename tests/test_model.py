@@ -26,7 +26,7 @@ from sommetrics import (
 )
 from sommetrics import internal, model
 from sommetrics.grid import KERNEL_KINDS, TOPOLOGIES, _offset_tables, distance_matrix
-from sommetrics.report import METRIC_NAMES, REGISTRY, _computations, _jsonable
+from sommetrics.report import METRIC_NAMES, REGISTRY, MetricSpec, _jsonable, evaluate_map
 
 from oracles import project_bruteforce, train_som_reference
 
@@ -242,11 +242,17 @@ def test_slab_sum_over_one_reused_buffer_matches_numpy_sum(d, k, seed):
         assert total.tobytes() == terms.sum(axis=-1).tobytes()
 
 
-@contextlib.contextmanager
-def _scope(cb, data, metrics=(), temperature=None, kernel="gaussian"):
-    """The evaluation that ``report._computations`` opens over ``cb`` and ``data``; yields it."""
-    with _computations(cb, data, metrics, temperature=temperature, kernel=kernel):
-        yield model._SCOPE.get()
+def _probed(cb, data, metrics, probes, **params):
+    """``evaluate_map`` with ``probes``, {name: compute(evaluation)}, in the registry for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, probe in probes.items():
+            patch.setitem(REGISTRY, name, MetricSpec(probe))
+        return evaluate_map(cb, data, metrics, **params)
+
+
+def _ranks(depth):
+    """A probe: the evaluation's ``project`` ranks at ``depth``."""
+    return lambda evaluation: project(evaluation.codebook, evaluation.data, depth=depth).bmu_ranks
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,17 +277,16 @@ def test_project_depth_one_is_first_column_of_depth_two(duplicates, scale, offse
     bmu = project(cb, data, depth=1).bmu
     assert np.array_equal(bmu, project(cb, data, depth=2).bmu)
     assert bmu.tolist() == [ranks[0] for ranks in project_bruteforce(samples, protos, 1)]
-    with _scope(cb, data):
-        assert np.array_equal(project(cb, data, depth=1).bmu, bmu)
+    assert np.array_equal(_probed(cb, data, ["bmu"], {"bmu": _ranks(1)})["bmu"][:, 0], bmu)
 
 
 def test_project_in_an_evaluation_equals_direct_calls_at_every_depth(monkeypatch):
-    # the first call keeps depth-2 ranks; depth 1 and depth 2 read them, and
-    # depth 3, deeper than kept, ranks anew; integer lattices tie often
+    # the first call keeps depth-2 ranks, and depth 1 and depth 2, the depths
+    # of the registry's calls, read them; integer lattices tie often
     rng = np.random.default_rng(8)
     cb = CodeBook(rng.integers(-2, 3, (6, 2)).astype(float), MapGrid(2, 3))
     data = Dataset(rng.integers(-3, 4, (50, 2)).astype(float))
-    direct = {depth: project(cb, data, depth=depth).bmu_ranks for depth in (1, 2, 3)}
+    direct = {depth: project(cb, data, depth=depth).bmu_ranks for depth in (1, 2)}
     depths = []
     rank_units = model._rank_units
 
@@ -290,37 +295,13 @@ def test_project_in_an_evaluation_equals_direct_calls_at_every_depth(monkeypatch
         return rank_units(codebook, data, depth)
 
     monkeypatch.setattr(model, "_rank_units", counting_rank_units)
-    with _scope(cb, data) as evaluation:
-        for depth in (1, 3, 2):
-            ranks = project(cb, data, depth=depth).bmu_ranks
-            assert ranks.dtype == direct[depth].dtype and np.array_equal(ranks, direct[depth]), depth
-        shared = evaluation.ranks
-        assert shared.shape == (50, 2) and not shared.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            project(cb, data, depth=1).bmu_ranks[0] = 0
-    assert depths == [2, 3]
-
-
-def test_project_in_an_evaluation_keeps_depth_two_after_a_deeper_call(monkeypatch):
-    # a call deeper than 2 ranks on its own and is not kept: the shallower
-    # call that follows still makes the one depth-2 ranking
-    rng = np.random.default_rng(9)
-    cb = CodeBook(rng.integers(-2, 3, (6, 2)).astype(float), MapGrid(2, 3))
-    data = Dataset(rng.integers(-3, 4, (40, 2)).astype(float))
-    direct = {depth: project(cb, data, depth=depth).bmu_ranks for depth in (1, 3)}
-    depths = []
-    rank_units = model._rank_units
-
-    def counting_rank_units(codebook, data, depth):
-        depths.append(depth)
-        return rank_units(codebook, data, depth)
-
-    monkeypatch.setattr(model, "_rank_units", counting_rank_units)
-    with _scope(cb, data) as evaluation:
-        for depth in (3, 1):
-            assert np.array_equal(project(cb, data, depth=depth).bmu_ranks, direct[depth]), depth
-        assert evaluation.ranks.shape == (40, 2)
-    assert depths == [3, 2]
+    got = _probed(cb, data, [1, 2], {depth: _ranks(depth) for depth in (1, 2)})
+    for depth, ranks in got.items():
+        assert ranks.dtype == direct[depth].dtype and np.array_equal(ranks, direct[depth]), depth
+        assert not ranks.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got[1][0] = 0
+    assert depths == [2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,7 +314,8 @@ def test_project_in_an_evaluation_keeps_depth_two_after_a_deeper_call(monkeypatc
 )
 def test_distortion_pass_ranks_match_bruteforce_on_tied_integer_data(topology, rows, cols, n, seed):
     # integer lattices tie often; a one-unit map ranks to depth 1. Inside an
-    # evaluation that asks for distortion, project reads these very ranks.
+    # evaluation that asks for distortion, project reads these very ranks,
+    # and distortion the total of the same kept pass.
     rng = np.random.default_rng(seed)
     grid = MapGrid(rows, cols, topology)
     cb = CodeBook(rng.integers(-2, 3, (grid.n_units, 2)).astype(float), grid)
@@ -341,10 +323,12 @@ def test_distortion_pass_ranks_match_bruteforce_on_tied_integer_data(topology, r
     depth = min(2, grid.n_units)
     total, ranks = model._distortion_pass(cb, data, 0.8, GAUSSIAN)
     assert ranks.tolist() == project_bruteforce(data.samples, cb.prototypes, depth)
-    with _scope(cb, data, ("distortion",), temperature=0.8) as evaluation:
-        assert np.array_equal(project(cb, data, depth=1).bmu_ranks, ranks[:, :1])
-        kept_total, kept_ranks = evaluation.distortion  # the pass is kept whole: its total and its ranks
-        assert np.array_equal(evaluation.ranks, ranks) and kept_total == total and np.array_equal(kept_ranks, ranks)
+    with pytest.MonkeyPatch.context() as patch:
+        passes = _count_distortion_passes(patch)
+        got = _probed(cb, data, [1, depth, "distortion"], {1: _ranks(1), depth: _ranks(depth)}, temperature=0.8)
+    assert passes == [(0.8, GAUSSIAN)]
+    assert np.array_equal(got[1], ranks[:, :1]) and np.array_equal(got[depth], ranks)
+    assert got["distortion"] == float(total) / n
 
 
 def test_distortion_pass_makes_the_evaluation_ranks_and_total(monkeypatch):
@@ -354,24 +338,16 @@ def test_distortion_pass_makes_the_evaluation_ranks_and_total(monkeypatch):
     direct = (project(cb, data, depth=2).bmu_ranks, distortion(cb, data, 0.6, WINDOW))
     depths = []
     monkeypatch.setattr(model, "_rank_units", lambda *args: depths.append(args[2]))
-    for first in ("project", "distortion"):
-        with _scope(cb, data, ("quantization_error", "distortion"), temperature=0.6, kernel="window"):
-            if first == "distortion":
-                assert distortion(cb, data, 0.6, WINDOW) == direct[1]
-            assert np.array_equal(project(cb, data, depth=2).bmu_ranks, direct[0])
-            assert distortion(cb, data, 0.6, WINDOW) == direct[1]
+    for metrics in (["quantization_error", "ranks", "distortion"], ["distortion", "ranks", "quantization_error"]):
+        got = _probed(cb, data, metrics, {"ranks": _ranks(2)}, temperature=0.6, kernel="window")
+        assert np.array_equal(got["ranks"], direct[0]) and got["distortion"] == direct[1]
     assert depths == []
 
 
 def _outcomes(cb, data, metrics, temperature):
-    outcomes = {}
-    with _computations(cb, data, metrics, 2, temperature) as computations:
-        for name, compute in computations.items():
-            try:
-                outcomes[name] = repr(_jsonable(compute()))
-            except ValueError as exc:
-                outcomes[name] = f"ValueError: {exc}"
-    return outcomes
+    """Each ``evaluate_map`` entry at k = 2: a value's repr, or the error's type and message."""
+    return {name: value["error"] if isinstance(value, dict) else repr(_jsonable(value))
+            for name, value in evaluate_map(cb, data, metrics, 2, temperature).items()}
 
 
 @pytest.mark.parametrize("case", ["total overflows", "temperature too small"])
@@ -429,38 +405,23 @@ def test_an_evaluation_whose_distortion_fails_runs_its_pass_once(monkeypatch, me
     assert passes == [(1.0, GAUSSIAN)]
 
 
-@pytest.mark.parametrize("case", ["another temperature", "another kernel", "distortion not asked for"])
-def test_distortion_outside_the_evaluation_plan_runs_its_own_pass(monkeypatch, case):
-    # the scope asks for distortion at 0.6 with the gaussian kernel, or not at
-    # all; a call at other parameters neither reads nor changes what it keeps
-    rng = np.random.default_rng(11)
-    cb = CodeBook(rng.integers(-2, 3, (6, 2)).astype(float), MapGrid(2, 3, "hexagonal"))
-    data = Dataset(rng.integers(-3, 4, (300, 2)).astype(float))  # two blocks
-    asked = case != "distortion not asked for"
-    own = {"another temperature": (0.9, GAUSSIAN), "another kernel": (0.6, WINDOW)}.get(case, (0.6, GAUSSIAN))
-    direct = distortion(cb, data, *own)
-    passes = _count_distortion_passes(monkeypatch)
-    metrics = ("quantization_error", "distortion") if asked else ("quantization_error",)
-    with _scope(cb, data, metrics, temperature=0.6) as evaluation:
-        assert distortion(cb, data, *own) == direct
-        assert evaluation.distortion is None and evaluation.ranks is None
-        project(cb, data, depth=1)
-        kept = evaluation.distortion, evaluation.ranks
-        assert distortion(cb, data, *own) == direct
-        assert evaluation.distortion is kept[0] and evaluation.ranks is kept[1]
-    assert passes == ([own, (0.6, GAUSSIAN), own] if asked else [own, own])
-
-
-def _outcome(compute, *args):
-    """The call's value as its type and bytes, or its error as its type and message."""
-    try:
-        value = compute(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
+def _bits(value):
+    """A metric value as its type and bytes; a topographic function series by series."""
     if isinstance(value, TopographicFunction):
         series = (value.k, value.tf, value.normalized_k, value.normalized_tf)
         return tuple(None if s is None else (s.dtype.str, s.shape, s.tobytes()) for s in series)
     return type(value), np.float64(value).tobytes()
+
+
+def _entry(compute, *args):
+    """The entry ``evaluate_map`` makes of the call: its value's bits, or ``{"error": "<Type>: <message>"}``."""
+    try:
+        value = compute(*args)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"non-finite result {value!r}")
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return _bits(value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,8 +450,8 @@ def _outcome(compute, *args):
          metrics=["quantization_error", "topographic_error", "trustworthiness", "neighborhood_preservation"])
 def test_an_evaluation_equals_each_metric_called_alone(topology, rows, cols, n, d, scale, duplicates, labelled,
                                                        k, temperature, kernel, metrics, seed):
-    # through report._computations, every value is bit-equal to the
-    # registry's call outside any evaluation, and every error has its type and
+    # every evaluate_map entry is the entry of the registry's call outside
+    # any evaluation: a bit-equal value, or an error of the same type and
     # message. The evaluation completes at most one N x K pass, distortion's
     # (tried only when distortion is asked for) or a depth-2 _rank_units, and
     # tries at most one sample-pair scan; a pass or scan that raises keeps its
@@ -506,7 +467,7 @@ def test_an_evaluation_equals_each_metric_called_alone(topology, rows, cols, n, 
     k = min(k, n)
     alone = SimpleNamespace(codebook=cb, data=data, k=k, temperature=temperature, kernel=NeighborhoodKernel(kernel))
     assert model._SCOPE.get() is None
-    expected = {name: _outcome(REGISTRY[name].compute, alone) for name in metrics}
+    expected = {name: _entry(REGISTRY[name].compute, alone) for name in metrics}
 
     attempts, passes, ranks, scans = [], [], [], []
     distortion_pass, rank_units, pair_scan = model._distortion_pass, model._rank_units, internal._pair_scan
@@ -531,14 +492,44 @@ def test_an_evaluation_equals_each_metric_called_alone(topology, rows, cols, n, 
             patch.setattr(module, "_distortion_pass", counting_passes)
         patch.setattr(model, "_rank_units", counting_rank_units)
         patch.setattr(internal, "_pair_scan", counting_scans)
-        with _computations(cb, data, metrics, k, temperature, kernel) as computations:
-            got = {name: _outcome(compute) for name, compute in computations.items()}
+        got = {name: value if isinstance(value, dict) else _bits(value)
+               for name, value in evaluate_map(cb, data, metrics, k, temperature, kernel).items()}
     assert list(got) == list(expected)
     for name in got:
         assert got[name] == expected[name], name
     assert len(attempts) <= ("distortion" in metrics)
     assert len(passes) + sum(depth <= 2 for depth in ranks) <= 1, (passes, ranks)
     assert len(scans) <= 1, scans
+    assert model._SCOPE.get() is None
+
+
+def test_an_unknown_metric_name_raises_before_any_metric_runs(monkeypatch):
+    rng = np.random.default_rng(12)
+    cb, data = CodeBook(rng.random((6, 2)), MapGrid(2, 3)), Dataset(rng.random((30, 2)))
+    calls = []
+    monkeypatch.setattr(model, "_rank_units", lambda *args: calls.append("_rank_units"))
+    monkeypatch.setattr(internal, "_pair_scan", lambda *args: calls.append("_pair_scan"))
+    with pytest.raises(KeyError, match="nope"):
+        evaluate_map(cb, data, ["quantization_error", "trustworthiness", "nope", "c_measure"], k=3)
+    assert calls == [] and model._SCOPE.get() is None
+
+
+def test_the_evaluation_scope_is_reset_when_a_metric_is_interrupted(monkeypatch):
+    # only an Exception becomes an entry; a KeyboardInterrupt ends the
+    # evaluation, and the scope with it
+    rng = np.random.default_rng(13)
+    cb, data = CodeBook(rng.random((6, 2)), MapGrid(2, 3)), Dataset(rng.random((30, 2)))
+    scopes = []
+
+    def interrupted(*args):
+        scopes.append(model._SCOPE.get())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(internal, "topographic_error", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_map(cb, data, ["quantization_error", "topographic_error", "combined_error"])
+    assert len(scopes) == 1 and scopes[0] is not None
+    assert model._SCOPE.get() is None
 
 
 def test_project_depth_k_memory_is_bounded():
