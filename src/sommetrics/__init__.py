@@ -21,10 +21,11 @@ _SOURCES = {
                  "neighborhood_preservation", "quantization_error", "topographic_error",
                  "topographic_function", "topographic_product", "trustworthiness"),
     "model": ("CodeBook", "Dataset", "ProjectionIndex", "TrainerConfig", "init_codebook", "project", "train_som"),
-    "report": ("METRIC_NAMES", "EvaluationConfig", "MetricReport", "evaluate", "evaluate_map"),
+    "names": ("METRIC_NAMES",),
+    "report": ("EvaluationConfig", "MetricReport", "evaluate", "evaluate_map"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
-_SUBMODULES = ("cli", "dataio", "demos", "errors", "external", "figures", "grid", "internal", "model", "report")
+_SUBMODULES = ("cli", "dataio", "demos", "errors", "external", "figures", "grid", "internal", "model", "names", "report")
 
 
 def __getattr__(name: str):

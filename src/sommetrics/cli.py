@@ -6,25 +6,27 @@ error. Every failure prints one machine-parsable line on stderr:
 """
 from __future__ import annotations
 
+import importlib
 import os
-
-# The only BLAS call is projection's small screening product, and idle OpenBLAS
-# workers cost each short run CPU time: a CLI run gets one BLAS thread unless
-# the caller set a number, before numpy loads; importing this module sets nothing.
-if __name__ == "__main__":  # python -m sommetrics.cli; the console script runs sommetrics._console_main
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import sys
 from pathlib import Path
 
-from .dataio import load_matrix, save_matrix
-from .demos import EXPERIMENTS, run_demo
-from .errors import ConfigError, InputError
-from .grid import KERNEL_KINDS, TOPOLOGIES
-from .model import Dataset, TrainerConfig, train_som
-from .report import METRIC_NAMES, EvaluationConfig, evaluate
+import click
 
-import click  # imported before numpy, it left each run's peak RSS about 0.4 MiB higher
+from .errors import ConfigError, InputError
+from .names import EXPERIMENTS, KERNEL_KINDS, METRIC_NAMES, TOPOLOGIES
+
+# Loading this module loads no numpy: each command imports what it runs when
+# it is invoked, so --help and a usage error never pay for the metrics. The
+# functions the commands call still resolve as attributes of this module, on
+# first use (PEP 562), for perfbench/trace_layers.py, which wraps them here.
+_LAZY = {"load_matrix": "dataio", "save_matrix": "dataio", "train_som": "model", "evaluate": "report"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
 
 
 def _fail(category: str, message: str, code: int) -> None:
@@ -85,6 +87,8 @@ def main() -> None:
 @click.option("--out", "out_path", default=None, help="Write the report here instead of stdout.")
 def evaluate_cmd(codebook_path, data_path, labels_path, rows, cols, topology,
                  metric_list, k, temperature, kernel, fmt, out_path) -> None:
+    from .report import EvaluationConfig, evaluate
+
     config = EvaluationConfig(
         codebook_path=codebook_path,
         data_path=data_path,
@@ -133,6 +137,9 @@ def evaluate_cmd(codebook_path, data_path, labels_path, rows, cols, topology,
 @click.option("--out", "out_path", required=True, help="Output codebook path.")
 def train_cmd(data_path, rows, cols, topology, tmax, tmin, alpha, iters, seed, out_path) -> None:
     """Train a map on a data file and write the codebook."""
+    from .dataio import load_matrix, save_matrix
+    from .model import Dataset, TrainerConfig, train_som
+
     try:
         config = TrainerConfig(rows=rows, cols=cols, topology=topology, t_max=tmax,
                                t_min=tmin, alpha=alpha, iterations=iters, seed=seed)
@@ -161,6 +168,8 @@ def train_cmd(data_path, rows, cols, topology, tmax, tmin, alpha, iters, seed, o
 @click.option("--seed", default=0, type=int, show_default=True)
 def demo_cmd(experiment, outdir, seed) -> None:
     """Reproduce one of the reference experiments."""
+    from .demos import run_demo
+
     if seed < 0:
         _fail("config", f"seed must be non-negative, got {seed}", 2)
     try:
@@ -177,5 +186,9 @@ def demo_cmd(experiment, outdir, seed) -> None:
         click.echo(path)
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # python -m sommetrics.cli; the console script runs sommetrics._console_main
+    # The only BLAS call is projection's small screening product, and idle
+    # OpenBLAS workers cost each short run CPU time: a CLI run gets one BLAS
+    # thread unless the caller set a number; importing this module sets nothing.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     main()

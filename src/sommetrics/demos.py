@@ -15,6 +15,7 @@ from .figures import render_map_svg
 from .grid import MapGrid
 from .internal import topographic_function
 from .model import CodeBook, Dataset, TrainerConfig, train_som
+from .names import EXPERIMENTS
 from .report import evaluate_map
 
 # Fraction of unit pairs whose prototypes get swapped for the medium map.
@@ -154,8 +155,7 @@ def stripe_demo(outdir, seed: int = 0) -> dict:
     return _score_maps(outdir, "stripe", "solution", _stripe_codebooks(), data, _STRIPE_METRICS)
 
 
-_EXPERIMENTS = {"square": square_demo, "tf1d": tf1d_demo, "stripe": stripe_demo}
-EXPERIMENTS = tuple(_EXPERIMENTS)
+_EXPERIMENTS = {"square": square_demo, "tf1d": tf1d_demo, "stripe": stripe_demo}  # keyed as names.EXPERIMENTS
 
 
 def run_demo(experiment: str, outdir, seed: int = 0) -> dict:

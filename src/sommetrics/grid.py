@@ -18,8 +18,7 @@ from numbers import Integral
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-TOPOLOGIES = ("rectangular", "hexagonal")
-KERNEL_KINDS = ("gaussian", "window")
+from .names import KERNEL_KINDS, TOPOLOGIES
 
 
 @dataclass(frozen=True)

@@ -434,6 +434,8 @@ def topographic_function(codebook: CodeBook, data: Dataset, k_max: int | None = 
     delta_max = grid.max_distance()
     if k_max is None:
         k_max = delta_max
+    if not isinstance(k_max, Integral):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     pair_dists = np.sort(_pair_distances(grid, *np.divmod(pairs, K)))

@@ -10,6 +10,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -457,6 +458,10 @@ class TrainerConfig:
             raise ValueError(f"need t_max >= t_min > 0, got t_max={self.t_max}, t_min={self.t_min}")
         if not self.alpha > 0:
             raise ValueError(f"learning rate must be positive, got {self.alpha}")
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.seed < 0:

@@ -12,9 +12,10 @@ import numpy as np
 from . import external, internal
 from .dataio import content_hash, load_labels, load_matrix
 from .errors import ConfigError, InputError
-from .grid import KERNEL_KINDS, TOPOLOGIES, MapGrid, NeighborhoodKernel
+from .grid import MapGrid, NeighborhoodKernel
 from .internal import TopographicFunction, _check_kse, _check_order, _check_samples
 from .model import _SCOPE, CodeBook, Dataset, _Evaluation, project
+from .names import KERNEL_KINDS, METRIC_NAMES, TOPOLOGIES
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,7 @@ REGISTRY: dict[str, MetricSpec] = {
     "class_scatter_index": MetricSpec(
         lambda c: external.class_scatter_index(c.codebook, c.data), needs_labels=True
     ),
-}
-
-METRIC_NAMES = tuple(REGISTRY)
+}  # keyed and ordered as names.METRIC_NAMES
 
 
 @dataclass

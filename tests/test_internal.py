@@ -715,6 +715,14 @@ def test_tf_refuses_a_radius_below_one():
         topographic_function(cb, data, k_max=0)
 
 
+def test_tf_refuses_a_non_integer_radius():
+    cb, data = random_instance(11)
+    for k_max in (2.5, 2.0):
+        with pytest.raises(ValueError, match=f"^k_max must be an integer, got {k_max!r}$"):
+            topographic_function(cb, data, k_max=k_max)
+    assert topographic_function(cb, data, k_max=np.int64(2)).k.tolist() == [1, 2]
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 5000), n=st.integers(2, 30))
 def test_tf_nonincreasing(seed, n):

@@ -1117,8 +1117,8 @@ def test_cli_write_failures_are_one_input_line(runner, fixture_files, tmp_path, 
             return run(*args, **kwargs)
         return call
 
-    for module, name in ((sm.cli, "load_matrix"), (sm.report, "load_matrix"), (sm.report, "evaluate_map"),
-                         (sm.cli, "train_som")):
+    for module, name in ((sm.dataio, "load_matrix"), (sm.report, "load_matrix"), (sm.report, "evaluate_map"),
+                         (sm.model, "train_som")):  # the commands import them from these modules when they run
         monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     taken = tmp_path / "taken"
     missing = tmp_path / "absent" / "out.csv"
@@ -1348,6 +1348,64 @@ def test_lazy_package_reaches_every_module():
     assert sorted(sm._SUBMODULES) == sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
 
 
+def test_lazy_names_are_the_registrys_and_the_experiments():
+    assert sm.names.METRIC_NAMES == tuple(sm.report.REGISTRY) == sm.METRIC_NAMES
+    assert sm.names.EXPERIMENTS == tuple(sm.demos._EXPERIMENTS)
+    assert (sm.names.TOPOLOGIES, sm.names.KERNEL_KINDS) == (sm.grid.TOPOLOGIES, sm.grid.KERNEL_KINDS)
+
+
+# what only a command that computes may load: numpy, scipy and the modules built on them
+_COMPUTING_MODULES = {"numpy", "scipy", *(f"sommetrics.{name}" for name in (
+    "dataio", "grid", "model", "report", "internal", "external", "demos", "figures"))}
+
+
+def _fresh_cli(args):
+    """(stdout, stderr, exit code, computing modules loaded) of ``python -m sommetrics.cli args`` in a fresh interpreter.
+
+    The child prints the sorted module list as its last stdout line.
+    """
+    code = f"""
+import json, runpy, sys
+sys.argv = ["sommetrics", *{list(args)!r}]
+try:
+    runpy.run_module("sommetrics.cli", run_name="__main__")
+except SystemExit as stop:
+    status = stop.code or 0
+computing = {sorted(_COMPUTING_MODULES)!r}
+print(json.dumps([status, sorted(m for m in sys.modules if m in computing or m.split(".")[0] in computing)]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(sm.__file__).resolve().parents[1]), "COLUMNS": "80"}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    *out, last = result.stdout.splitlines(keepends=True)
+    status, loaded = json.loads(last)
+    return "".join(out), result.stderr, status, loaded
+
+
+def test_cli_lazy_help_and_usage_errors_load_no_numpy():
+    helps = []
+    for args in (["--help"], ["evaluate", "--help"], ["train", "--help"], ["demo", "--help"]):
+        out, err, status, loaded = _fresh_cli(args)
+        assert (status, err, loaded) == (0, "", []), args
+        helps.append(out)
+    # click's rendering at 80 columns, recorded when the CLI still loaded every module
+    assert "".join(helps) == (Path(__file__).parent / "cli_help.txt").read_text()
+    out, err, status, loaded = _fresh_cli(["evaluate", "--rows", "x"])
+    assert (out, status, loaded) == ("", 2, [])
+    assert err.splitlines() == ["error: config: Invalid value for '--rows': 'x' is not a valid integer."]
+
+
+def test_cli_lazy_train_loads_no_metric_modules(tmp_path):
+    data, out = tmp_path / "data.csv", tmp_path / "codebook.csv"
+    save_matrix(data, np.random.default_rng(3).random((20, 2)))
+    _, err, status, loaded = _fresh_cli(["train", "--data", str(data), "--rows", "2", "--cols", "3", "--iters", "50",
+                                         "--out", str(out)])
+    assert (status, err) == (0, "")
+    assert out.is_file()
+    assert {"numpy", "sommetrics.dataio", "sommetrics.grid", "sommetrics.model"} <= set(loaded)
+    assert not {f"sommetrics.{name}" for name in ("report", "internal", "external", "demos", "figures")} & set(loaded)
+
+
 # the two CLI entry points, each run with --help, and a plain import of the CLI module
 _BLAS_ENTRIES = {
     "module": 'runpy.run_module("sommetrics.cli", run_name="__main__")',
@@ -1359,7 +1417,9 @@ _BLAS_ENTRIES = {
 def _child_blas_threads(entry, blas_threads):
     """(OPENBLAS_NUM_THREADS, thread count or None) after ``_BLAS_ENTRIES[entry]`` in a fresh interpreter.
 
-    The count is None off Linux and when numpy's BLAS is not OpenBLAS.
+    --help loads no numpy, so the child imports numpy after the entry point
+    returns: its OpenBLAS pool is sized by the variable the entry left. The
+    count is None off Linux and when numpy's BLAS is not OpenBLAS.
     """
     code = f"""
 import json, os, runpy, sys
@@ -1369,6 +1429,7 @@ try:
     {_BLAS_ENTRIES[entry]}
 except SystemExit as stop:
     assert not stop.code, stop.code
+import numpy
 openblas = sys.platform == "linux" and "openblas" in open("/proc/self/maps").read().lower()
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")) if openblas else None]))
 """

@@ -750,6 +750,13 @@ def test_trainer_config_validation():
         TrainerConfig(0, 2)
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         TrainerConfig(2, 2, seed=-1)
+    # a float reached train_som and ended in a bare TypeError; numpy ints still pass
+    with pytest.raises(ValueError, match=r"^iterations must be an integer, got 2\.5$"):
+        TrainerConfig(2, 2, iterations=2.5)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        TrainerConfig(2, 2, seed=1.5)
+    config = TrainerConfig(2, 2, iterations=np.int64(3), seed=np.int32(1))
+    assert train_som(Dataset(np.arange(8.0).reshape(4, 2)), config).prototypes.shape == (4, 2)
 
 
 @pytest.mark.parametrize("name", ["t_max", "t_min", "alpha"])
