@@ -112,6 +112,10 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 
 def content_hash(matrix: np.ndarray) -> str:
-    """SHA-256 of the canonical float64 row-major bytes; format-independent."""
+    """SHA-256 of the canonical float64 row-major bytes; format-independent.
+
+    The hash reads the contiguous array's buffer, so an array that is
+    already C-ordered float64 is not copied.
+    """
     canonical = np.ascontiguousarray(matrix, dtype=float)
-    return hashlib.sha256(canonical.tobytes()).hexdigest()
+    return hashlib.sha256(canonical).hexdigest()

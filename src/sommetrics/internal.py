@@ -11,9 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _pair_distances, adjacency_pairs
+from .grid import (GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _distance_windows, _pair_distances,
+                   adjacency_pairs)
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
-from .model import (_BLOCK, _SCOPE, CodeBook, Dataset, _distortion_pass, _overflow_is_an_error,
+from .model import (_BLOCK, _CHUNK, _SCOPE, CodeBook, Dataset, _distortion_pass, _overflow_is_an_error,
                     _paired_squared_distances, _pairwise_tree, bmu_distances, project, squared_distances)
 
 
@@ -56,11 +57,12 @@ def _map_path_costs(codebook: CodeBook, sources: np.ndarray, targets: np.ndarray
     the graph is built from COO without ``eliminate_zeros``, so csgraph keeps
     explicit zeros as edges.
 
-    Dijkstra runs from ``_BLOCK`` distinct sources at a time, so no cost array
-    is larger than ``_BLOCK`` x K, and only as far as each needed cost: first
-    up to a limit of the median positive edge weight, then again, with the
-    limit doubled, from the sources whose needed cost is still unreached, and
-    without a limit once the limit reaches the sum of all edge weights. The
+    Dijkstra runs from ``max(1, _CHUNK // K)`` distinct sources at a time, so
+    no cost array holds more than ``_CHUNK`` values (K of them when K exceeds
+    ``_CHUNK``), and only as far as each needed cost: first up to a limit of
+    the median positive edge weight, then again, with the limit doubled, from
+    the sources whose needed cost is still unreached, and without a limit
+    once the limit reaches the sum of all edge weights. The
     costs equal those of one unlimited run bit for bit: adding a nonnegative
     weight with rounding never lowers a sum, so every node within the
     (inclusive) limit is reached by the same sums as without it.
@@ -80,8 +82,9 @@ def _map_path_costs(codebook: CodeBook, sources: np.ndarray, targets: np.ndarray
         total = float(w.sum())  # an overflow to inf lets the doubling run to inf
     units, source_of = np.unique(sources, return_inverse=True)
     costs = np.empty(len(sources))
-    for lo in range(0, len(units), _BLOCK):
-        pending = np.flatnonzero((source_of >= lo) & (source_of < lo + _BLOCK))  # pairs whose cost is unreached
+    per_run = max(1, _CHUNK // K)
+    for lo in range(0, len(units), per_run):
+        pending = np.flatnonzero((source_of >= lo) & (source_of < lo + per_run))  # pairs whose cost is unreached
         limit = first_limit
         while len(pending):
             run = limit if limit < total else np.inf
@@ -378,18 +381,27 @@ def topographic_product(codebook: CodeBook) -> float:
 
     Negative values mean the map dimensionality is too low for the data,
     positive too high, zero adequate. Uses only prototypes and map distances.
+
+    Input distances come in blocks of ``max(1, _CHUNK // K)`` units, in one
+    reused buffer; each unit's map row is copied from its window of the
+    grid's offset tables.
     """
     K = codebook.n_units
     if K < 2:
         raise ValueError("topographic product requires at least two units")
-    p = codebook.prototypes
+    p, grid = codebook.prototypes, codebook.grid
+    windows, rows, cols = _distance_windows(grid), grid.rows, grid.cols
 
     orders = 1.0 / (2.0 * np.arange(1, K))
     total = 0.0
-    for start in range(0, K, _BLOCK):
-        dins = squared_distances(p[start:start + _BLOCK], p)
-        dmaps = _distance_rows(codebook.grid, np.arange(start, start + len(dins)))
-        for din, dmap in zip(np.sqrt(dins, out=dins), dmaps):
+    per_block = max(1, _CHUNK // K)
+    buffer = np.empty((min(per_block, K), K))
+    for start in range(0, K, per_block):
+        block = p[start:start + per_block]
+        dins = squared_distances(block, p, out=buffer[:len(block)])
+        for unit, din in enumerate(np.sqrt(dins, out=dins), start):
+            r, c = divmod(unit, cols)
+            dmap = windows[r & 1, rows - 1 - r, cols - 1 - c].ravel()  # int64, the unit's distance_matrix row
             if np.count_nonzero(din == 0.0) > 1:
                 raise ValueError("duplicate prototypes: topographic product needs nonzero pairwise distances")
             # the row's own unit is the only zero on both sides, so it sorts
@@ -399,7 +411,6 @@ def topographic_product(codebook: CodeBook) -> float:
             logs = (np.log(din[by_map]) - np.log(din[by_input])
                     + np.log(dmap[by_map]) - np.log(dmap[by_input]))
             total += float((np.cumsum(logs) * orders).sum())
-        del dins, dmaps, din, dmap  # the block and its row views, freed before the next block's distances
     return total / (K * (K - 1))
 
 

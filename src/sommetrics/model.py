@@ -160,7 +160,7 @@ def _small_ufunc_buffer():
 # many are live); a constant, so bits never depend on the machine.
 _CHUNK = 65_536
 _TABLE = 8_192  # entries per weight table of the trainer
-_BLOCK = 256  # rows per block of every scan (projection, pair scans, distortion, topographic product)
+_BLOCK = 256  # rows per block of every scan (projection, pair scans, distortion)
 
 
 def _pairwise_tree(leaf, lo: int, hi: int, limit: int):
@@ -262,18 +262,22 @@ def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.nd
                               units: np.ndarray) -> np.ndarray:
     """``squared_distances(x, prototypes)[rows, units]``, computing only those pairs.
 
-    Gathers the coordinate columns of one slab at a time, in chunks of
-    ``_CHUNK // min(D, 8)`` pairs.
+    Each chunk of ``max(1, _CHUNK // D)`` pairs is numpy's own row sum,
+    ``np.square(x[rows] - prototypes[units]).sum(axis=1)``: the definition
+    that ``squared_distances`` replays. The differences go to one reused
+    C-ordered buffer of at most ``_CHUNK`` values (D of them when D exceeds
+    ``_CHUNK``), so no call copies all of ``x``. The row sum reduces, so it
+    runs at numpy's own ufunc buffer size.
     """
     d = x.shape[1]
-    size = max(1, _CHUNK // min(d, 8))
-    xt, pt = np.ascontiguousarray(x.T), np.ascontiguousarray(prototypes.T)
+    size = max(1, _CHUNK // d)
+    diff = np.empty((min(size, len(rows)), d))
     out = np.empty(len(rows))
     with _overflow_is_an_error():
         for s in range(0, len(rows), size):
             r, u = rows[s:s + size], units[s:s + size]
-            out[s:s + size] = _pairwise_sum(
-                lambda i, j: _squared(np.subtract(xt[i:j].take(r, axis=1), pt[i:j].take(u, axis=1))), 0, d)
+            chunk = np.subtract(x[r], prototypes[u], out=diff[:len(r)])
+            np.square(chunk, out=chunk).sum(axis=1, out=out[s:s + size])
     return out
 
 

@@ -233,7 +233,7 @@ def test_ce_path_costs_on_an_all_zero_weight_graph(monkeypatch):
     assert combined_error(cb, Dataset(np.zeros((5, 2)))) == 2.0
 
 
-def test_ce_path_costs_equal_unbounded_dijkstra_bit_for_bit():
+def _assert_path_costs_equal_unbounded_dijkstra():
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import dijkstra
 
@@ -258,9 +258,23 @@ def test_ce_path_costs_equal_unbounded_dijkstra_bit_for_bit():
         assert _map_path_costs(cb, sources, targets).tobytes() == expected.tobytes(), (case, kind)
 
 
+def test_ce_path_costs_equal_unbounded_dijkstra_bit_for_bit():
+    # at most 144 units: every case runs all its sources in one Dijkstra run
+    _assert_path_costs_equal_unbounded_dijkstra()
+
+
+@pytest.mark.parametrize("chunk", [1, 200])
+def test_ce_path_costs_split_across_dijkstra_runs_equal_unbounded_dijkstra(monkeypatch, chunk):
+    # a budget of 1 value runs one source at a time; 200 values run from 1
+    # source (K > 100) up to 100 sources (K = 2), so the runs split the
+    # sources at many boundaries
+    monkeypatch.setattr(internal, "_CHUNK", chunk)
+    _assert_path_costs_equal_unbounded_dijkstra()
+
+
 def test_ce_path_cost_memory_is_bounded_by_a_block_of_sources():
     # 895 distinct sources on a 30x30 map: one cost row per source would be
-    # 6.1 MiB; blocks of 256 sources hold 1.8 MiB at a time
+    # 6.1 MiB; runs of 72 sources (65,536 // 900) hold 0.5 MiB at a time
     rng = np.random.default_rng(3)
     grid = MapGrid(30, 30, "hexagonal")
     cb = CodeBook(rng.normal(size=(900, 4)), grid)
@@ -272,7 +286,7 @@ def test_ce_path_cost_memory_is_bounded_by_a_block_of_sources():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 4.0, peak
+    assert peak < 1.25, peak
 
 
 @settings(max_examples=30, deadline=None)
@@ -359,6 +373,22 @@ def test_map_side_metrics_and_the_trainer_stay_below_a_distance_matrix():
         distance_matrix.cache_clear()
         peak = _traced_peak(call, *operands[1])
         assert peak < 32 * 2**20, (name, peak / 2**20)
+
+
+def test_evaluate_map_of_the_map_metrics_holds_no_copy_of_the_samples():
+    # 50,000 x 16 samples are 6.1 MiB: transposed copies for the gathered BMU
+    # distances and 256 x K blocks of the topographic product peaked at
+    # 10.2 MiB; chunks of 65,536 values peak at 5.5 MiB
+    rng = np.random.default_rng(12)
+    metrics = ["quantization_error", "distortion", "topographic_error", "combined_error", "topographic_product",
+               "topographic_function", "purity", "clustering_accuracy", "class_scatter_index"]
+    operands = []
+    for rows, cols, n in ((3, 3, 30), (30, 30, 50_000)):
+        grid = MapGrid(rows, cols, "hexagonal")
+        operands.append((CodeBook(rng.normal(size=(grid.n_units, 16)), grid),
+                         Dataset(rng.normal(size=(n, 16)), labels=rng.integers(0, 10, n))))
+    evaluate_map(*operands[0], metrics, temperature=1.0)  # loads scipy
+    assert _traced_peak(evaluate_map, *operands[1], metrics, None, 1.0) < 7.5 * 2**20
 
 
 def test_trust_below_one_when_clusters_collapse_onto_adjacent_units():
@@ -667,6 +697,36 @@ def test_tp_rejects_duplicate_prototypes():
         cb = CodeBook(np.array(protos), MapGrid(1, 3))
         with pytest.raises(ValueError):
             topographic_product(cb)
+
+
+@pytest.mark.parametrize("units_per_block", [1, 7])
+def test_tp_is_the_same_across_block_boundaries(monkeypatch, units_per_block):
+    # the default budget holds each of these maps in one block; a budget of
+    # 1 or 7 rows of K values cuts it into blocks of 1 or 7 units, the last
+    # one partial
+    rng = np.random.default_rng(36)
+    for rows, cols, topology in ((3, 5, "hexagonal"), (4, 4, "rectangular"), (1, 9, "rectangular"),
+                                 (5, 3, "hexagonal"), (2, 11, "hexagonal")):
+        grid = MapGrid(rows, cols, topology)
+        cb = CodeBook(rng.normal(size=(grid.n_units, 3)), grid)
+        whole = topographic_product(cb)
+        with monkeypatch.context() as patched:
+            patched.setattr(internal, "_CHUNK", units_per_block * grid.n_units)
+            split = topographic_product(cb)
+        assert split.hex() == whole.hex(), (rows, cols, topology)
+        expected = topographic_product_bruteforce(cb.prototypes.tolist(), distance_matrix(grid).tolist())
+        assert split == pytest.approx(expected, abs=1e-9)
+
+
+def test_tp_memory_is_a_block_of_input_distances():
+    # 30x30, D = 16: blocks of 256 unit rows held 256 x K input distances
+    # and 256 x K map distances, 3.6 MiB; blocks of 72 rows (65,536 // 900)
+    # in one reused buffer, with each map row read from the offset tables,
+    # hold 1.6 MiB
+    grid = MapGrid(30, 30, "hexagonal")
+    cb = CodeBook(np.random.default_rng(8).normal(size=(grid.n_units, 16)), grid)
+    topographic_product(cb)  # caches the grid's offset tables
+    assert _traced_peak(topographic_product, cb) < 2.5 * 2**20
 
 
 def test_tp_memory_is_one_unit_row_at_a_time():

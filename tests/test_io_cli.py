@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -220,6 +221,20 @@ def test_load_matrix_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert matrix.shape == (50_000, 16)
     assert peak < 2 * matrix.nbytes + 2**20, (peak, matrix.nbytes)
+
+
+def test_content_hash_reads_the_matrix_without_a_copy():
+    # a tobytes() copy of the 6.1 MiB matrix was the peak; the hash reads the
+    # contiguous array's buffer
+    matrix = np.random.default_rng(4).normal(size=(50_000, 16))
+    tracemalloc.start()
+    try:
+        digest = dataio.content_hash(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(matrix.tobytes()).hexdigest()
+    assert peak < 0.5 * 2**20, peak
 
 
 def test_load_matrix_memory_is_one_growing_result(tmp_path):

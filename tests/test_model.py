@@ -548,6 +548,23 @@ def test_project_depth_k_memory_is_bounded():
         assert peak < limit * 2**20
 
 
+def test_bmu_distances_memory_is_bounded_by_a_chunk():
+    # 100,000 x 16 samples are 12.2 MiB: a transposed copy of them peaked at
+    # 15.9 MiB; chunks of 65,536 values in one reused buffer hold 3.0 MiB,
+    # most of it the N sample indices and the N distances
+    rng = np.random.default_rng(7)
+    grid = MapGrid(30, 30, "hexagonal")
+    cb, data = CodeBook(rng.normal(size=(grid.n_units, 16)), grid), Dataset(rng.normal(size=(100_000, 16)))
+    bmus = rng.integers(0, grid.n_units, data.n_samples)
+    tracemalloc.start()
+    try:
+        model.bmu_distances(cb, data, bmus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
 def test_init_codebook_permutation_when_counts_match():
     rng = np.random.default_rng(0)
     data = Dataset(rng.normal(size=(6, 2)))
