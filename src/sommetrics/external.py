@@ -1,6 +1,8 @@
 """External (label-based) indices: purity, best-assignment accuracy, class scatter."""
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .grid import adjacency_pairs
@@ -46,6 +48,8 @@ def contingency_table(assignments, labels, n_clusters: int | None = None,
         raise ValueError(f"length mismatch: {a.shape[0]} assignments vs {y.shape[0]} labels")
     shape = []
     for name, ids, size in (("n_clusters", a, n_clusters), ("n_classes", y, n_classes)):
+        if size is not None and not isinstance(size, Integral):
+            raise ValueError(f"{name} must be an integer, got {size!r}")
         largest = int(ids.max())
         if size is not None and size <= largest:
             raise ValueError(f"{name}={size} is too small for the largest id, {largest}")

@@ -14,8 +14,9 @@ import numpy as np
 from .grid import (GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _distance_windows, _pair_distances,
                    adjacency_pairs)
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
-from .model import (_BLOCK, _CHUNK, _SCOPE, CodeBook, Dataset, _distortion_pass, _overflow_is_an_error,
-                    _paired_squared_distances, _pairwise_tree, bmu_distances, project, squared_distances)
+from .model import (_BLOCK, _CHUNK, _SCOPE, CodeBook, Dataset, _distance_blocks, _distortion_pass,
+                    _overflow_is_an_error, _paired_squared_distances, _pairwise_tree, bmu_distances, project,
+                    squared_distances)
 
 
 def quantization_error(codebook: CodeBook, data: Dataset) -> float:
@@ -256,8 +257,8 @@ def _max_squared_distance(x: np.ndarray) -> float:
     sample i is farther apart than r_i + max r. A sample whose squared bound,
     plus a rounding slack, stays below the exact largest distance from the
     farthest sample cannot end the farthest pair; the exact distances among
-    the other samples give the maximum, a pair scan leaf's worth of rows at a
-    time in one reused buffer. The kernel's per-element bits do not depend on
+    the other samples give the maximum, in ``_distance_blocks`` of a pair
+    scan leaf's worth of rows. The kernel's per-element bits do not depend on
     the rows computed together, so the maximum is the full scan's.
     """
     d = x.shape[1]
@@ -276,11 +277,8 @@ def _max_squared_distance(x: np.ndarray) -> float:
                                  + 8.0 * reach * np.sqrt(d * tiny))
     lower = squared_distances(x[[np.argmax(radii)]], x).max()
     kept = np.asfortranarray(x[~(bound < lower)])  # column-major, as in the pair scan
-    m = len(kept)
-    rows = min(m, max(1, _leaf_terms(m) // m))
-    out = np.empty((rows, m))
-    return float(max(squared_distances(kept[s:s + rows], kept, out=out[:min(rows, m - s)]).max()
-                     for s in range(0, m, rows)))
+    rows = max(1, _leaf_terms(len(kept)) // len(kept))
+    return float(max(d2.max() for _, d2 in _distance_blocks(kept, kept, rows)))
 
 
 def _map_ranks(unit_rows: np.ndarray, per_unit: np.ndarray, k: int,
@@ -382,8 +380,8 @@ def topographic_product(codebook: CodeBook) -> float:
     Negative values mean the map dimensionality is too low for the data,
     positive too high, zero adequate. Uses only prototypes and map distances.
 
-    Input distances come in blocks of ``max(1, _CHUNK // K)`` units, in one
-    reused buffer; each unit's map row is copied from its window of the
+    Input distances come in ``_distance_blocks`` of ``max(1, _CHUNK // K)``
+    units; each unit's map row is copied from its window of the
     grid's offset tables.
     """
     K = codebook.n_units
@@ -394,11 +392,7 @@ def topographic_product(codebook: CodeBook) -> float:
 
     orders = 1.0 / (2.0 * np.arange(1, K))
     total = 0.0
-    per_block = max(1, _CHUNK // K)
-    buffer = np.empty((min(per_block, K), K))
-    for start in range(0, K, per_block):
-        block = p[start:start + per_block]
-        dins = squared_distances(block, p, out=buffer[:len(block)])
+    for start, dins in _distance_blocks(p, p, max(1, _CHUNK // K)):
         for unit, din in enumerate(np.sqrt(dins, out=dins), start):
             r, c = divmod(unit, cols)
             dmap = windows[r & 1, rows - 1 - r, cols - 1 - c].ravel()  # int64, the unit's distance_matrix row
@@ -440,8 +434,6 @@ def topographic_function(codebook: CodeBook, data: Dataset, k_max: int | None = 
     if K < 2:
         raise ValueError("topographic function requires at least two units")
     grid = codebook.grid
-    proj = project(codebook, data, depth=2)
-    pairs = np.unique(np.minimum(proj.bmu, proj.second_bmu) * K + np.maximum(proj.bmu, proj.second_bmu))
     delta_max = grid.max_distance()
     if k_max is None:
         k_max = delta_max
@@ -449,6 +441,8 @@ def topographic_function(codebook: CodeBook, data: Dataset, k_max: int | None = 
         raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    proj = project(codebook, data, depth=2)
+    pairs = np.unique(np.minimum(proj.bmu, proj.second_bmu) * K + np.maximum(proj.bmu, proj.second_bmu))
     pair_dists = np.sort(_pair_distances(grid, *np.divmod(pairs, K)))
     ks = np.arange(1, k_max + 1)
     tf = 2 * (len(pair_dists) - np.searchsorted(pair_dists, ks, side="right"))

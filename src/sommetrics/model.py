@@ -224,8 +224,14 @@ def _pairwise_sum(terms, lo: int, hi: int) -> np.ndarray:
     return total
 
 
-def _squared(diff: np.ndarray) -> np.ndarray:
-    return np.multiply(diff, diff, out=diff)
+def _summed_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``((a - b) ** 2).sum(axis=0)`` of (D, ...) operands in ``_pairwise_sum``'s order: every exact distance."""
+
+    def squares(i: int, j: int) -> np.ndarray:
+        diff = np.subtract(a[i:j], b[i:j])
+        return np.multiply(diff, diff, out=diff)
+
+    return _pairwise_sum(squares, 0, len(a))
 
 
 def squared_distances(x: np.ndarray, prototypes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -250,35 +256,34 @@ def squared_distances(x: np.ndarray, prototypes: np.ndarray, out: np.ndarray | N
     xt, pt = np.ascontiguousarray(x.T), np.ascontiguousarray(prototypes.T)
     with _overflow_is_an_error(), _small_ufunc_buffer():
         for r0 in range(0, n, rows):
-            a = xt[:, r0:r0 + rows, None]
             for c0 in range(0, m, cols):
-                b = pt[:, None, c0:c0 + cols]
-                out[r0:r0 + rows, c0:c0 + cols] = _pairwise_sum(
-                    lambda i, j: _squared(np.subtract(a[i:j], b[i:j])), 0, d)
+                out[r0:r0 + rows, c0:c0 + cols] = _summed_squares(xt[:, r0:r0 + rows, None], pt[:, None, c0:c0 + cols])
     return out
 
 
 def _paired_squared_distances(x: np.ndarray, rows: np.ndarray, prototypes: np.ndarray,
                               units: np.ndarray) -> np.ndarray:
-    """``squared_distances(x, prototypes)[rows, units]``, computing only those pairs.
+    """``squared_distances(x, prototypes)[rows, units]``, computing only those pairs, with the same summation.
 
-    Each chunk of ``max(1, _CHUNK // D)`` pairs is numpy's own row sum,
-    ``np.square(x[rows] - prototypes[units]).sum(axis=1)``: the definition
-    that ``squared_distances`` replays. The differences go to one reused
-    C-ordered buffer of at most ``_CHUNK`` values (D of them when D exceeds
-    ``_CHUNK``), so no call copies all of ``x``. The row sum reduces, so it
-    runs at numpy's own ufunc buffer size.
+    Each chunk of ``max(1, _CHUNK // D)`` pairs gathers at most ``_CHUNK``
+    values (D when D exceeds it) of ``x`` and of ``prototypes``, so no call
+    copies all of ``x``. Overflow raises as in ``squared_distances``. No
+    operand is broadcast, so the chunks run at numpy's own ufunc buffer size.
     """
-    d = x.shape[1]
-    size = max(1, _CHUNK // d)
-    diff = np.empty((min(size, len(rows)), d))
+    size = max(1, _CHUNK // x.shape[1])
     out = np.empty(len(rows))
     with _overflow_is_an_error():
         for s in range(0, len(rows), size):
-            r, u = rows[s:s + size], units[s:s + size]
-            chunk = np.subtract(x[r], prototypes[u], out=diff[:len(r)])
-            np.square(chunk, out=chunk).sum(axis=1, out=out[s:s + size])
+            out[s:s + size] = _summed_squares(x[rows[s:s + size]].T, prototypes[units[s:s + size]].T)
     return out
+
+
+def _distance_blocks(x: np.ndarray, prototypes: np.ndarray, rows: int):
+    """``(start, squared_distances(x[start:start + rows], prototypes))`` per block of ``x``, in one reused buffer."""
+    out = np.empty((min(rows, len(x)), len(prototypes)))
+    for start in range(0, len(x), rows):
+        block = x[start:start + rows]
+        yield start, squared_distances(block, prototypes, out=out[:len(block)])
 
 
 @dataclass
@@ -334,8 +339,8 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     """
     _check_dims(codebook, data)
     K = codebook.n_units
-    if not 1 <= depth <= K:
-        raise ValueError(f"depth must be in 1..{K}, got {depth}")
+    if not (isinstance(depth, Integral) and 1 <= depth <= K):
+        raise ValueError(f"depth must be an integer in 1..{K}, got {depth!r}")
     evaluation = _SCOPE.get()
     if evaluation is None:
         return ProjectionIndex(_rank_units(codebook, data, depth))
@@ -395,23 +400,21 @@ def _distortion_pass(codebook: CodeBook, data: Dataset, temperature: float,
                      kernel: NeighborhoodKernel) -> tuple[np.float64, np.ndarray]:
     """Distortion's weighted total over all samples, and the (N, min(2, K)) unit ranks of ``project``.
 
-    One exact pass over ``_BLOCK``-row blocks of ``squared_distances``: each
-    block's BMUs (``argmin``, ties to the lowest unit, as in ``project``) pick
-    the kernel weights of every unit by the BMUs' distance rows; the BMU
+    One exact pass over the ``_BLOCK``-row blocks of ``_distance_blocks``:
+    each block's BMUs (``argmin``, ties to the lowest unit, as in ``project``)
+    pick the kernel weights of every unit by the BMUs' distance rows; the BMU
     entries are then set to inf, and a second ``argmin`` gives the second
-    BMUs. Raises ``ValueError`` when the
-    kernel cannot weigh the map at ``temperature``, or when a distance or the
-    running total overflows float64.
+    BMUs. Raises ``ValueError`` when the kernel cannot weigh the map at
+    ``temperature``, or when a distance or the running total overflows
+    float64.
     """
     grid = codebook.grid
     by_distance = _weights_by_distance(kernel, grid, temperature)
     _check_dims(codebook, data)
-    n = data.n_samples
-    ranks = np.empty((n, min(2, codebook.n_units)), dtype=np.int64)
+    ranks = np.empty((data.n_samples, min(2, codebook.n_units)), dtype=np.int64)
     total = np.float64(0.0)  # a numpy scalar, so that an overflowing running total raises too
     with _overflow_is_an_error():
-        for start in range(0, n, _BLOCK):
-            d2 = squared_distances(data.samples[start:start + _BLOCK], codebook.prototypes)
+        for start, d2 in _distance_blocks(data.samples, codebook.prototypes, _BLOCK):
             bmus = d2.argmin(axis=1)
             weights = _distance_rows(grid, bmus, by_distance)  # B x K, each unit's weight around the row's BMU
             weights *= d2

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any, Callable
 
 import numpy as np
@@ -88,6 +89,11 @@ class EvaluationConfig:
             raise ConfigError(f"unknown topology {self.topology!r}; valid: {', '.join(TOPOLOGIES)}")
         if self.kernel not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel {self.kernel!r}; valid: {', '.join(KERNEL_KINDS)}")
+        for name, kind, what in (("rows", Integral, "an integer"), ("cols", Integral, "an integer"),
+                                 ("k", Integral, "an integer"), ("temperature", Real, "a real number")):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"map size must be positive, got {self.rows}x{self.cols}")
         if self.temperature is not None and not np.isfinite(self.temperature):

@@ -36,6 +36,14 @@ def test_contingency_table_refuses_a_size_below_the_largest_id():
     assert contingency_table([1], [0], n_clusters=3, n_classes=2).tolist() == [[0, 0], [1, 0], [0, 0]]
 
 
+@pytest.mark.parametrize("name", ["n_clusters", "n_classes"])
+@pytest.mark.parametrize("size", [2.5, 4.0, "4"])
+def test_contingency_table_refuses_a_non_integer_size(name, size):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {size!r}$"):
+        contingency_table([0, 1], [1, 0], **{name: size})
+    assert contingency_table([0, 1], [1, 0], **{name: np.int64(2)}).tolist() == [[0, 1], [1, 0]]
+
+
 def test_purity_one_sample_per_unit():
     n = 8
     assignments = np.arange(n)

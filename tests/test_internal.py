@@ -30,7 +30,7 @@ from sommetrics import (
     train_som,
     trustworthiness,
 )
-from sommetrics import internal
+from sommetrics import internal, model
 from sommetrics.grid import _offset_tables, _pair_distances
 from sommetrics.internal import _map_path_costs
 from sommetrics.model import _pairwise_tree, bmu_distances, squared_distances
@@ -133,6 +133,17 @@ def test_distortion_at_a_huge_temperature_weighs_every_unit_one(kernel):
         warnings.simplefilter("error")
         for t in (1e200, 1e300):
             assert distortion(cb, data, t, kernel) == expected
+
+
+def test_distortion_memory_is_one_block_of_distances():
+    # 30x30 hexagonal, D = 16, N = 10,000: a new 256 x K block of squared
+    # distances per block kept two of them alive at once, 4.8 MiB; one reused
+    # block holds 3.7 MiB, most of it that block and its weights
+    grid = MapGrid(30, 30, "hexagonal")
+    rng = np.random.default_rng(12)
+    cb, data = CodeBook(rng.normal(size=(grid.n_units, 16)), grid), Dataset(rng.normal(size=(10_000, 16)))
+    distortion(cb, data, 1.0)  # caches the grid's offset tables
+    assert _traced_peak(distortion, cb, data, 1.0) < 4.25 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +792,19 @@ def test_tf_refuses_a_non_integer_radius():
         with pytest.raises(ValueError, match=f"^k_max must be an integer, got {k_max!r}$"):
             topographic_function(cb, data, k_max=k_max)
     assert topographic_function(cb, data, k_max=np.int64(2)).k.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("k_max", [0, -1, 2.5, 2.0, "3"])
+def test_tf_checks_the_radius_before_it_projects(monkeypatch, k_max):
+    cb, data = random_instance(11)
+    calls = []
+    rank_units = model._rank_units
+    monkeypatch.setattr(model, "_rank_units", lambda *args: calls.append(args) or rank_units(*args))
+    with pytest.raises(ValueError, match="^k_max must be"):
+        topographic_function(cb, data, k_max=k_max)
+    assert calls == []
+    topographic_function(cb, data, k_max=1)
+    assert len(calls) == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from sommetrics import dataio
 from sommetrics.cli import main
 from sommetrics.dataio import load_labels, load_matrix, save_matrix
 from sommetrics.demos import _ORGANIZATION_METRICS, _score_maps, run_demo
-from sommetrics.errors import InputError
+from sommetrics.errors import ConfigError, InputError
 from sommetrics.figures import render_map_svg
 from sommetrics.report import EvaluationConfig, _jsonable, evaluate
 
@@ -631,6 +632,22 @@ def test_evaluate_json_round_trip_preserves_floats(fixture_files):
     assert payload["params"]["rows"] == 3
     assert set(payload["inputs"]) == {"codebook", "data"}
     assert len(payload["inputs"]["data"]["sha256"]) == 64
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rows", 2.0, "rows must be an integer, got 2.0"),
+    ("cols", "3", "cols must be an integer, got '3'"),
+    ("k", 2.5, "k must be an integer, got 2.5"),
+    ("k", "5", "k must be an integer, got '5'"),
+    ("temperature", "1", "temperature must be a real number, got '1'"),
+    ("temperature", 1j, "temperature must be a real number, got 1j"),
+])
+def test_evaluate_config_refuses_a_mistyped_parameter_before_reading_files(tmp_path, field, value, message):
+    params = {"rows": 3, "cols": 3, "k": 2, "temperature": 1.0, field: value}
+    config = EvaluationConfig(codebook_path=str(tmp_path / "missing.csv"), data_path=str(tmp_path / "missing.csv"),
+                              metrics=("trustworthiness", "distortion"), **params)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        evaluate(config)
 
 
 def test_evaluate_weighs_distortion_with_the_requested_kernel(fixture_files):

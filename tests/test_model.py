@@ -1,4 +1,5 @@
 import contextlib
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -62,6 +63,15 @@ def test_project_depth_validation():
         project(cb, data, depth=0)
     with pytest.raises(ValueError):
         project(cb, data, depth=3)
+
+
+@pytest.mark.parametrize("depth", [2.0, 1.5, "2", None])
+def test_project_refuses_a_non_integer_depth(depth):
+    cb = chain_codebook([0.0, 1.0])
+    data = Dataset(np.array([[0.0]]))
+    with pytest.raises(ValueError, match=f"^depth must be an integer in 1..2, got {re.escape(repr(depth))}$"):
+        project(cb, data, depth=depth)
+    assert project(cb, data, depth=np.int64(2)).bmu_ranks.tolist() == [[0, 1]]
 
 
 def test_project_dimension_mismatch_names_operands():
