@@ -85,22 +85,11 @@ def main() -> None:
 @click.option("--kernel", default="gaussian", type=click.Choice(KERNEL_KINDS), show_default=True)
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]), show_default=True)
 @click.option("--out", "out_path", default=None, help="Write the report here instead of stdout.")
-def evaluate_cmd(codebook_path, data_path, labels_path, rows, cols, topology,
-                 metric_list, k, temperature, kernel, fmt, out_path) -> None:
+def evaluate_cmd(metric_list, fmt, out_path, **fields) -> None:
     from .report import EvaluationConfig, evaluate
 
-    config = EvaluationConfig(
-        codebook_path=codebook_path,
-        data_path=data_path,
-        labels_path=labels_path,
-        rows=rows,
-        cols=cols,
-        topology=topology,
-        metrics=tuple(name.strip() for name in metric_list.split(",") if name.strip()),
-        k=k,
-        temperature=temperature,
-        kernel=kernel,
-    )
+    config = EvaluationConfig(metrics=tuple(name.strip() for name in metric_list.split(",") if name.strip()),
+                              **fields)
     try:
         config.validate()
         if out_path:
@@ -129,29 +118,26 @@ def evaluate_cmd(codebook_path, data_path, labels_path, rows, cols, topology,
 @click.option("--rows", required=True, type=int)
 @click.option("--cols", required=True, type=int)
 @click.option("--topology", default="rectangular", type=click.Choice(TOPOLOGIES), show_default=True)
-@click.option("--tmax", default=10.0, type=float, show_default=True, help="Initial temperature.")
-@click.option("--tmin", default=0.1, type=float, show_default=True, help="Final temperature.")
+@click.option("--tmax", "t_max", default=10.0, type=float, show_default=True, help="Initial temperature.")
+@click.option("--tmin", "t_min", default=0.1, type=float, show_default=True, help="Final temperature.")
 @click.option("--alpha", default=0.5, type=float, show_default=True, help="Learning rate.")
-@click.option("--iters", default=20000, type=int, show_default=True, help="Training iterations.")
+@click.option("--iters", "iterations", default=20000, type=int, show_default=True, help="Training iterations.")
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out", "out_path", required=True, help="Output codebook path.")
-def train_cmd(data_path, rows, cols, topology, tmax, tmin, alpha, iters, seed, out_path) -> None:
+def train_cmd(data_path, out_path, **fields) -> None:
     """Train a map on a data file and write the codebook."""
-    from .dataio import load_matrix, save_matrix
+    from .dataio import _from_file, load_matrix, save_matrix
     from .model import Dataset, TrainerConfig, train_som
 
     try:
-        config = TrainerConfig(rows=rows, cols=cols, topology=topology, t_max=tmax,
-                               t_min=tmin, alpha=alpha, iterations=iters, seed=seed)
+        config = TrainerConfig(**fields)
     except ValueError as exc:
         _fail("config", str(exc), 2)
     _refuse_unwritable(out_path)
     try:
-        data = Dataset(load_matrix(data_path))
+        data = _from_file(data_path, Dataset, load_matrix(data_path))
     except InputError as exc:
         _fail("input", str(exc), 1)
-    except ValueError as exc:  # parseable file, unusable contents
-        _fail("input", f"{data_path}: {exc}", 1)
     try:
         codebook = train_som(data, config)
     except Exception as exc:

@@ -105,6 +105,14 @@ def load_labels(path) -> np.ndarray:
     return np.fromiter(_labels(path), dtype=np.int64)
 
 
+def _from_file(path, make, *args):
+    """``make(*args)``, its ``ValueError`` turned into an ``InputError`` naming ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def save_matrix(path, matrix: np.ndarray) -> None:
     """Write a matrix as comma-separated rows with round-trip-exact precision."""
     with open(path, "w") as file:  # savetxt would compress to a path ending in .gz, .bz2 or .xz

@@ -1,11 +1,9 @@
 """External (label-based) indices: purity, best-assignment accuracy, class scatter."""
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
-from .grid import adjacency_pairs
+from .grid import _is_integer, adjacency_pairs
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
 from .model import CodeBook, Dataset, project
 
@@ -48,7 +46,7 @@ def contingency_table(assignments, labels, n_clusters: int | None = None,
         raise ValueError(f"length mismatch: {a.shape[0]} assignments vs {y.shape[0]} labels")
     shape = []
     for name, ids, size in (("n_clusters", a, n_clusters), ("n_classes", y, n_classes)):
-        if size is not None and not isinstance(size, Integral):
+        if size is not None and not _is_integer(size):
             raise ValueError(f"{name} must be an integer, got {size!r}")
         largest = int(ids.max())
         if size is not None and size <= largest:

@@ -21,6 +21,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .names import KERNEL_KINDS, TOPOLOGIES
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer parameter: an ``Integral`` that is not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MapGrid:
     """A rows x cols lattice of map units."""
@@ -30,7 +35,7 @@ class MapGrid:
     topology: str = "rectangular"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.rows, Integral) and isinstance(self.cols, Integral)):
+        if not (_is_integer(self.rows) and _is_integer(self.cols)):
             raise ValueError(f"grid dimensions must be integers, got {self.rows!r}x{self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")

@@ -6,13 +6,12 @@ breaks toward the lowest unit or sample index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _distance_windows, _pair_distances,
-                   adjacency_pairs)
+from .grid import (GAUSSIAN, NeighborhoodKernel, _diameter, _distance_rows, _distance_windows, _is_integer,
+                   _pair_distances, adjacency_pairs)
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
 from .model import (_BLOCK, _CHUNK, _SCOPE, CodeBook, Dataset, _distance_blocks, _distortion_pass,
                     _overflow_is_an_error, _paired_squared_distances, _pairwise_tree, bmu_distances, project,
@@ -35,6 +34,8 @@ def distortion(codebook: CodeBook, data: Dataset, temperature: float,
     evaluation's projection; that pass runs once, and its result or error is
     kept (``_Evaluation.once``).
     """
+    if temperature is None:
+        raise ValueError("distortion requires a temperature")
     evaluation = _SCOPE.get()
     if evaluation is None:
         return float(_distortion_pass(codebook, data, temperature, kernel)[0]) / data.n_samples
@@ -125,7 +126,7 @@ def _check_samples(data: Dataset, least: int) -> None:
 
 def _check_order(data: Dataset, k: int) -> None:
     """Trustworthiness' and neighborhood preservation's checks, in order."""
-    if not isinstance(k, Integral):
+    if not _is_integer(k):
         raise ValueError(f"neighborhood order k must be an integer, got {k!r}")
     _check_samples(data, 3)
     n = data.n_samples
@@ -437,7 +438,7 @@ def topographic_function(codebook: CodeBook, data: Dataset, k_max: int | None = 
     delta_max = grid.max_distance()
     if k_max is None:
         k_max = delta_max
-    if not isinstance(k_max, Integral):
+    if not _is_integer(k_max):
         raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")

@@ -10,12 +10,11 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .grid import (GAUSSIAN, MapGrid, NeighborhoodKernel, _diameter, _distance_rows, _distance_windows,
-                   _weights_by_distance)
+                   _is_integer, _weights_by_distance)
 from .grid import distance_matrix  # unused here: perfbench/trace_layers.py wraps this module's binding
 
 
@@ -339,7 +338,7 @@ def project(codebook: CodeBook, data: Dataset, depth: int = 2) -> ProjectionInde
     """
     _check_dims(codebook, data)
     K = codebook.n_units
-    if not (isinstance(depth, Integral) and 1 <= depth <= K):
+    if not (_is_integer(depth) and 1 <= depth <= K):
         raise ValueError(f"depth must be an integer in 1..{K}, got {depth!r}")
     evaluation = _SCOPE.get()
     if evaluation is None:
@@ -467,7 +466,7 @@ class TrainerConfig:
             raise ValueError(f"learning rate must be positive, got {self.alpha}")
         for name in ("iterations", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")

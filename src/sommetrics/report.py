@@ -5,15 +5,15 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 from typing import Any, Callable
 
 import numpy as np
 
 from . import external, internal
-from .dataio import content_hash, load_labels, load_matrix
+from .dataio import _from_file, content_hash, load_labels, load_matrix
 from .errors import ConfigError, InputError
-from .grid import MapGrid, NeighborhoodKernel
+from .grid import MapGrid, NeighborhoodKernel, _is_integer
 from .internal import TopographicFunction, _check_kse, _check_order, _check_samples
 from .model import _SCOPE, CodeBook, Dataset, _Evaluation, project
 from .names import KERNEL_KINDS, METRIC_NAMES, TOPOLOGIES
@@ -89,11 +89,12 @@ class EvaluationConfig:
             raise ConfigError(f"unknown topology {self.topology!r}; valid: {', '.join(TOPOLOGIES)}")
         if self.kernel not in KERNEL_KINDS:
             raise ConfigError(f"unknown kernel {self.kernel!r}; valid: {', '.join(KERNEL_KINDS)}")
-        for name, kind, what in (("rows", Integral, "an integer"), ("cols", Integral, "an integer"),
-                                 ("k", Integral, "an integer"), ("temperature", Real, "a real number")):
+        for name in ("rows", "cols", "k"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, kind):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            if value is not None and not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.temperature is not None and not isinstance(self.temperature, Real):
+            raise ConfigError(f"temperature must be a real number, got {self.temperature!r}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"map size must be positive, got {self.rows}x{self.cols}")
         if self.temperature is not None and not np.isfinite(self.temperature):
@@ -174,14 +175,6 @@ def _fingerprint(matrix: np.ndarray) -> dict[str, Any]:
     }
 
 
-def _from_file(path, make, *args):
-    """``make(*args)``, its ``ValueError`` turned into an ``InputError`` naming ``path``."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def _passes(check, *args) -> bool:
     try:
         check(*args)
@@ -196,14 +189,17 @@ def evaluate_map(codebook: CodeBook, data: Dataset, metrics, k: int | None = Non
 
     A metric that raises, or gives a non-finite float, gets the entry
     ``{"error": "<Type>: <message>"}`` without stopping the others; an
-    unknown name raises ``KeyError`` before any metric runs. The metrics run
-    in one evaluation over ``codebook`` and ``data``, whose plan is fixed
-    here from the names: one sample-pair scan serves the requested pair
-    metrics whose checks pass, and distortion's exact pass makes the
-    projection when distortion is requested (only then is the temperature
-    kept). The first metric that needs either pays for it. This is the one
-    place that sets ``model._SCOPE``, reset when the metrics end.
+    unknown name raises ``KeyError``, and a bare string ``TypeError``, before
+    any metric runs. The metrics run in one evaluation over ``codebook`` and
+    ``data``, whose plan is fixed here from the names: one sample-pair scan
+    serves the requested pair metrics whose checks pass, and distortion's
+    exact pass makes the projection when distortion is requested (only then
+    is the temperature kept). The first metric that needs either pays for
+    it. This is the one place that sets ``model._SCOPE``, reset when the
+    metrics end.
     """
+    if isinstance(metrics, str):
+        raise TypeError(f"metrics must be a sequence of metric names, got the string {metrics!r}")
     names = dict.fromkeys(metrics)
     pair_plan = (k if names.keys() & {"trustworthiness", "neighborhood_preservation"}
                  and _passes(_check_order, data, k) else None,

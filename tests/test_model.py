@@ -18,16 +18,21 @@ from sommetrics import (
     NeighborhoodKernel,
     TopographicFunction,
     TrainerConfig,
+    contingency_table,
     distortion,
     init_codebook,
+    neighborhood_preservation,
     project,
     quantization_error,
     topographic_error,
+    topographic_function,
     train_som,
+    trustworthiness,
 )
 from sommetrics import internal, model
+from sommetrics.errors import ConfigError
 from sommetrics.grid import KERNEL_KINDS, TOPOLOGIES, _offset_tables, distance_matrix
-from sommetrics.report import METRIC_NAMES, REGISTRY, MetricSpec, _jsonable, evaluate_map
+from sommetrics.report import METRIC_NAMES, REGISTRY, EvaluationConfig, MetricSpec, _jsonable, evaluate, evaluate_map
 
 from oracles import project_bruteforce, train_som_reference
 
@@ -524,6 +529,31 @@ def test_an_unknown_metric_name_raises_before_any_metric_runs(monkeypatch):
     assert calls == [] and model._SCOPE.get() is None
 
 
+def test_a_bare_string_of_metrics_raises_before_any_metric_runs(monkeypatch):
+    # a string iterated as names gave KeyError: 'q'
+    rng = np.random.default_rng(12)
+    cb, data = CodeBook(rng.random((6, 2)), MapGrid(2, 3)), Dataset(rng.random((30, 2)))
+    calls = []
+    monkeypatch.setattr(model, "_rank_units", lambda *args: calls.append("_rank_units"))
+    monkeypatch.setattr(internal, "_pair_scan", lambda *args: calls.append("_pair_scan"))
+    with pytest.raises(TypeError, match="sequence of metric names"):
+        evaluate_map(cb, data, "quantization_error")
+    assert calls == [] and model._SCOPE.get() is None
+
+
+def test_distortion_without_a_temperature_says_so_before_any_pass(monkeypatch):
+    # the kernel turned None into nan: "temperature must be positive, got nan"
+    rng = np.random.default_rng(14)
+    cb, data = CodeBook(rng.random((6, 2)), MapGrid(2, 3)), Dataset(rng.random((30, 2)))
+    passes, distortion_pass = [], model._distortion_pass
+    monkeypatch.setattr(internal, "_distortion_pass", lambda *args: passes.append(args) or distortion_pass(*args))
+    with pytest.raises(ValueError, match="^distortion requires a temperature$"):
+        distortion(cb, data, None)
+    assert evaluate_map(cb, data, ["distortion"]) == {
+        "distortion": {"error": "ValueError: distortion requires a temperature"}}
+    assert passes == []
+
+
 def test_the_evaluation_scope_is_reset_when_a_metric_is_interrupted(monkeypatch):
     # only an Exception becomes an entry; a KeyboardInterrupt ends the
     # evaluation, and the scope with it
@@ -560,8 +590,8 @@ def test_project_depth_k_memory_is_bounded():
 
 def test_bmu_distances_memory_is_bounded_by_a_chunk():
     # 100,000 x 16 samples are 12.2 MiB: a transposed copy of them peaked at
-    # 15.9 MiB; chunks of 65,536 values in one reused buffer hold 3.0 MiB,
-    # most of it the N sample indices and the N distances
+    # 15.9 MiB; each chunk of 65,536 values gathers fresh slabs, and the
+    # peak is 3.15 MiB, most of it the N sample indices and the N distances
     rng = np.random.default_rng(7)
     grid = MapGrid(30, 30, "hexagonal")
     cb, data = CodeBook(rng.normal(size=(grid.n_units, 16)), grid), Dataset(rng.normal(size=(100_000, 16)))
@@ -784,6 +814,52 @@ def test_trainer_config_validation():
         TrainerConfig(2, 2, seed=1.5)
     config = TrainerConfig(2, 2, iterations=np.int64(3), seed=np.int32(1))
     assert train_som(Dataset(np.arange(8.0).reshape(4, 2)), config).prototypes.shape == (4, 2)
+
+
+def _integer_sites():
+    """Each integer parameter: (error type, message start, call with the value); the instance has 6 units, N = 12."""
+    rng = np.random.default_rng(15)
+    cb, data = CodeBook(rng.random((6, 2)), MapGrid(2, 3)), Dataset(rng.random((12, 2)))
+
+    def evaluation(**params):  # the paths name no file: reading one would raise InputError
+        config = EvaluationConfig(codebook_path="missing.csv", data_path="missing.csv",
+                                  metrics=("trustworthiness",), **{"rows": 3, "cols": 3, "k": 2, **params})
+        return evaluate(config)
+
+    return {
+        "MapGrid.rows": (ValueError, "grid dimensions must be integers", lambda v: MapGrid(v, 3)),
+        "MapGrid.cols": (ValueError, "grid dimensions must be integers", lambda v: MapGrid(3, v)),
+        "project.depth": (ValueError, "depth must be an integer in 1..6", lambda v: project(cb, data, depth=v)),
+        "TrainerConfig.iterations": (ValueError, "iterations must be an integer",
+                                     lambda v: TrainerConfig(2, 2, iterations=v)),
+        "TrainerConfig.seed": (ValueError, "seed must be an integer", lambda v: TrainerConfig(2, 2, seed=v)),
+        "trustworthiness.k": (ValueError, "neighborhood order k must be an integer",
+                              lambda v: trustworthiness(cb, data, v)),
+        "neighborhood_preservation.k": (ValueError, "neighborhood order k must be an integer",
+                                        lambda v: neighborhood_preservation(cb, data, v)),
+        "topographic_function.k_max": (ValueError, "k_max must be an integer",
+                                       lambda v: topographic_function(cb, data, k_max=v)),
+        "contingency_table.n_clusters": (ValueError, "n_clusters must be an integer",
+                                         lambda v: contingency_table([0, 0], [0, 0], n_clusters=v)),
+        "contingency_table.n_classes": (ValueError, "n_classes must be an integer",
+                                        lambda v: contingency_table([0, 0], [0, 0], n_classes=v)),
+        "EvaluationConfig.rows": (ConfigError, "rows must be an integer", lambda v: evaluation(rows=v)),
+        "EvaluationConfig.cols": (ConfigError, "cols must be an integer", lambda v: evaluation(cols=v)),
+        "EvaluationConfig.k": (ConfigError, "k must be an integer", lambda v: evaluation(k=v)),
+    }
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("site", list(_integer_sites()))
+def test_every_integer_parameter_refuses_a_bool(monkeypatch, site, value):
+    # a bool is an Integral: True built a 1-row grid, trained one step, or
+    # started trust/NP's pair scan; False met the range checks instead
+    scans = []
+    monkeypatch.setattr(internal, "_pair_scan", lambda *args: scans.append(args))
+    error, message, call = _integer_sites()[site]
+    with pytest.raises(error, match=f"^{re.escape(message)}.*{value!r}"):
+        call(value)
+    assert scans == []
 
 
 @pytest.mark.parametrize("name", ["t_max", "t_min", "alpha"])
